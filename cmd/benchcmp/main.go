@@ -40,10 +40,20 @@ type result struct {
 
 // footprint mirrors benchff's per-scheme memory audit. Reports predating
 // the audit have a nil map; the footprint gate only engages when both
-// reports carry it.
+// reports carry it. Reports from before the single storage layout carry
+// wide and packed columns instead of bytes_per_page; the packed column
+// measured today's layout, so it stands in as the baseline.
 type footprint struct {
-	WideBytesPerPage   float64 `json:"wide_bytes_per_page"`
+	BytesPerPage       float64 `json:"bytes_per_page"`
 	PackedBytesPerPage float64 `json:"packed_bytes_per_page"`
+}
+
+// perPage returns the report's bytes per page for the current layout.
+func (f footprint) perPage() float64 {
+	if f.BytesPerPage > 0 {
+		return f.BytesPerPage
+	}
+	return f.PackedBytesPerPage
 }
 
 type report struct {
@@ -142,8 +152,8 @@ func main() {
 	}
 
 	// Footprint gate: the memory layout is deterministic (no wall-clock
-	// noise), so any growth beyond the threshold on either storage width is
-	// a real layout regression. Absent maps (older reports) skip the gate.
+	// noise), so any growth beyond the threshold is a real layout
+	// regression. Absent maps (older reports) skip the gate.
 	fpJoined := 0
 	if len(oldFP) > 0 && len(newFP) > 0 {
 		fpKeys := make([]string, 0, len(oldFP))
@@ -158,25 +168,18 @@ func main() {
 				continue
 			}
 			fpJoined++
-			for _, axis := range []struct {
-				name     string
-				old, new float64
-			}{
-				{"wide", o.WideBytesPerPage, n.WideBytesPerPage},
-				{"packed", o.PackedBytesPerPage, n.PackedBytesPerPage},
-			} {
-				if axis.old <= 0 {
-					continue
-				}
-				delta := axis.new/axis.old - 1
-				mark := ""
-				if delta > *threshold {
-					mark = "  REGRESSED"
-					regressed = true
-				}
-				fmt.Printf("%-20s %-6s footprint %7.1f -> %7.1f B/page  (%+6.1f%%)%s\n",
-					k, axis.name, axis.old, axis.new, delta*100, mark)
+			before, after := o.perPage(), n.perPage()
+			if before <= 0 {
+				continue
 			}
+			delta := after/before - 1
+			mark := ""
+			if delta > *threshold {
+				mark = "  REGRESSED"
+				regressed = true
+			}
+			fmt.Printf("%-20s footprint %7.1f -> %7.1f B/page  (%+6.1f%%)%s\n",
+				k, before, after, delta*100, mark)
 		}
 	}
 

@@ -17,9 +17,7 @@
 //
 // The report also audits memory: for every scheme, the simulated
 // controller's bytes per page (scheme metadata tables plus device state
-// arrays) on wide and on packed storage — the packed-table layouts must
-// prove their win in the committed trajectory, and benchcmp gates against
-// the footprint regressing.
+// arrays), which benchcmp gates against regressing.
 //
 // The output JSON (BENCH_PR9.json in the repo root) extends the repo's
 // benchmark trajectory (BENCH_PR2.json holds the deterministic-scheme
@@ -76,15 +74,11 @@ type coverage struct {
 
 // footprint is the per-scheme memory audit: total simulated-controller
 // bytes per page (scheme metadata tables where the scheme itemizes them,
-// plus the device's per-page state arrays), on wide storage and on packed
-// storage. WideOverPacked is the headline packed-table win; schemes that do
-// not itemize their tables (SchemeTables false) still show the device-side
-// saving.
+// plus the device's per-page state arrays). Schemes that do not itemize
+// their tables (SchemeTables false) report the device state alone.
 type footprint struct {
-	SchemeTables       bool    `json:"scheme_tables_reported"`
-	WideBytesPerPage   float64 `json:"wide_bytes_per_page"`
-	PackedBytesPerPage float64 `json:"packed_bytes_per_page"`
-	WideOverPacked     float64 `json:"wide_over_packed"`
+	SchemeTables bool    `json:"scheme_tables_reported"`
+	BytesPerPage float64 `json:"bytes_per_page"`
 }
 
 type report struct {
@@ -145,8 +139,7 @@ func main() {
 			os.Exit(1)
 		}
 		rep.Footprint[name] = fp
-		fmt.Printf("%-10s footprint %7.1f B/page wide, %7.1f B/page packed (%.2fx)\n",
-			name, fp.WideBytesPerPage, fp.PackedBytesPerPage, fp.WideOverPacked)
+		fmt.Printf("%-10s footprint %7.1f B/page\n", name, fp.BytesPerPage)
 		benched[name] = true
 	}
 
@@ -259,26 +252,16 @@ func stackBytes(sys twl.SystemConfig, scheme string, seed uint64) (int64, bool, 
 	return tables + dev.Footprint().Total(), reported, nil
 }
 
-// probeFootprint audits one scheme's bytes-per-page on wide and packed
-// storage.
+// probeFootprint audits one scheme's bytes per page.
 func probeFootprint(sys twl.SystemConfig, scheme string, seed uint64) (footprint, error) {
-	var fp footprint
-	wide, reported, err := stackBytes(sys, scheme, seed)
+	bytes, reported, err := stackBytes(sys, scheme, seed)
 	if err != nil {
-		return fp, err
+		return footprint{}, err
 	}
-	psys := sys
-	psys.Packed = true
-	packed, _, err := stackBytes(psys, scheme, seed)
-	if err != nil {
-		return fp, err
-	}
-	pages := float64(sys.Pages)
-	fp.SchemeTables = reported
-	fp.WideBytesPerPage = math.Round(float64(wide)/pages*100) / 100
-	fp.PackedBytesPerPage = math.Round(float64(packed)/pages*100) / 100
-	fp.WideOverPacked = math.Round(float64(wide)/float64(packed)*100) / 100
-	return fp, nil
+	return footprint{
+		SchemeTables: reported,
+		BytesPerPage: math.Round(float64(bytes)/float64(sys.Pages)*100) / 100,
+	}, nil
 }
 
 // measure times full lifetime runs for one scheme × attack, interleaving the

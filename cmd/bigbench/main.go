@@ -6,8 +6,7 @@
 // scale-free — and the scale factor is recorded in the report.
 //
 // The default configuration is the paper's headline scenario, TWL against
-// the inconsistent-pattern attack, on packed storage (the wide layout at
-// this page count costs ~2.2× the memory for bit-identical results):
+// the inconsistent-pattern attack:
 //
 //	go run ./cmd/bigbench -out BIGBENCH.json
 //
@@ -43,7 +42,6 @@ type report struct {
 		MeanEndurance  float64 `json:"mean_endurance"`
 		SigmaFraction  float64 `json:"sigma_fraction"`
 		EnduranceScale float64 `json:"endurance_scale_vs_paper"`
-		Packed         bool    `json:"packed"`
 		Seed           uint64  `json:"seed"`
 	} `json:"system"`
 	Scheme       string   `json:"scheme"`
@@ -70,7 +68,6 @@ func main() {
 	scheme := flag.String("scheme", "TWL_swp", "wear-leveling scheme")
 	attackName := flag.String("attack", "inconsistent", "attack mode: repeat, random, scan, inconsistent")
 	shards := flag.Int("shards", 0, "bank-group shards (0: the full geometry's 4x32)")
-	packed := flag.Bool("packed", true, "use packed device storage and the packed TWL engine")
 	seed := flag.Uint64("seed", 1, "system and scheme seed")
 	ckpt := flag.String("ckpt", "", "per-shard checkpoint directory (empty: no checkpointing)")
 	resume := flag.Bool("resume", false, "resume shards from their checkpoint files")
@@ -92,7 +89,6 @@ func main() {
 		PageSize:      4096,
 		MeanEndurance: *endurance,
 		SigmaFraction: 0.11,
-		Packed:        *packed,
 		Seed:          *seed,
 	}
 	cfg := twl.ShardedConfig{
@@ -120,7 +116,6 @@ func main() {
 	rep.System.MeanEndurance = sys.MeanEndurance
 	rep.System.SigmaFraction = sys.SigmaFraction
 	rep.System.EnduranceScale = sys.MeanEndurance / paperEndurance
-	rep.System.Packed = sys.Packed
 	rep.System.Seed = sys.Seed
 	rep.Scheme = res.Scheme
 	rep.Attack = *attackName

@@ -62,7 +62,7 @@ func TestIntegrationParanoidLifetimes(t *testing.T) {
 // lifetime numbers.
 func TestIntegrationDataIntegrityAllSchemes(t *testing.T) {
 	sys := SmallSystem(88)
-	sys.MeanEndurance = 1e12 // integrity, not wear-out, is under test
+	sys.MeanEndurance = 1e9 // integrity, not wear-out, is under test
 	for _, name := range SchemeNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -196,7 +196,7 @@ func TestIntegrationTraceFileRoundTrip(t *testing.T) {
 	}
 
 	runOver := func(src sim.Source) *Device {
-		sys := SystemConfig{Pages: pages, PageSize: 4096, MeanEndurance: 1e12, SigmaFraction: 0.11, Seed: 5}
+		sys := SystemConfig{Pages: pages, PageSize: 4096, MeanEndurance: 1e9, SigmaFraction: 0.11, Seed: 5}
 		dev, err := sys.NewDevice()
 		if err != nil {
 			t.Fatal(err)

@@ -31,6 +31,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"twl/internal/pcm"
 	"twl/internal/rng"
@@ -76,7 +77,8 @@ type Config struct {
 	// Must be in [1, tables.MaxInterval]; the paper picks 32 (Figure 7).
 	TossUpInterval int
 	// InterPairSwapInterval swaps a page with a random page every this many
-	// writes to it; 0 disables. The evaluation fixes 128 (Table 1).
+	// writes to it; 0 disables. Must be at most MaxIPSInterval; the
+	// evaluation fixes 128 (Table 1).
 	InterPairSwapInterval int
 	// Seed drives the RNGs.
 	Seed uint64
@@ -115,22 +117,34 @@ type xorshiftAlpha struct{ *rng.Xorshift }
 
 func (x xorshiftAlpha) Alpha() float64 { return x.Float64() }
 
-// Engine is the TWL wear-leveling engine (Figure 5).
+// Engine is the TWL wear-leveling engine (Figure 5). Every per-page
+// structure is stored at the width its data needs: the RT, the repLA cache
+// and the ET at uint32, the SWPT at int32, the WCT at 7 bits in a byte and
+// the inter-pair swap counters at uint8 (the interval is at most
+// MaxIPSInterval). That is 22 B/page of tables; at the paper's full
+// geometry (8Mi pages) it lets a bank's shard of the TWL stack stay
+// cache-friendly.
 type Engine struct {
 	dev *pcm.Device // snap: device state is checkpointed by the sim layer
 	cfg Config      // snap: construction input
 
-	rt   *tables.Remap     // RT: LA → PA
-	swpt *tables.PairTable // snap: static pairing derived from ET at New. SWPT over *physical* pages (pairs are an
-	// endurance property, so they are static; the logical partner of an LA
-	// is derived through RT, which is what the hardware SWPT caches)
-	et       []uint64        // snap: derived from endurance map + seed at New. ET as the engine sees it (true or noisy)
-	wct      *tables.Counter // per-pair toss-up countdown (7-bit)
-	pairIdx  []int           // snap: derived from SWPT at New. physical page → pair representative (min member)
-	repLA    []int           // snap: rebuilt from RT and pairIdx on Restore. logical page → pair representative (pairIdx[rt.Phys(la)])
-	ipsCount []uint32        // per-LA writes since last inter-pair swap
-	src      alphaSource
-	stats    wl.Stats
+	rt *tables.Remap // RT: LA → PA
+	// SWPT over *physical* pages (pairs are an endurance property, so they
+	// are static; the logical partner of an LA is derived through RT, which
+	// is what the hardware SWPT caches).
+	swpt *tables.PairTable // snap: static pairing derived from ET at New
+	et   []uint32          // snap: derived from endurance map + seed at New. ET as the engine sees it (true or noisy)
+	wct  *tables.Counter   // per-pair toss-up countdown (7-bit), indexed by pair representative
+	// repLA caches the pair representative (the smaller pair member) of
+	// la's physical page, so the sweep fast path loads one table rather
+	// than chasing RT → SWPT. A toss-up swap exchanges la with the logical
+	// owner of its *pair partner* — both sides of the same pair, same
+	// representative — so only the inter-pair swap moves a logical page
+	// across pairs and has to maintain this cache.
+	repLA []uint32 // snap: rebuilt from RT and the pair table on Restore
+	ips   []uint8  // per-LA writes since last inter-pair swap
+	src   alphaSource
+	stats wl.Stats
 
 	scratch []int // snap: scratch buffer; physical-address batch for WriteSweep
 }
@@ -139,8 +153,16 @@ var _ wl.Scheme = (*Engine)(nil)
 var _ wl.Checker = (*Engine)(nil)
 var _ wl.RunWriter = (*Engine)(nil)
 var _ wl.SweepWriter = (*Engine)(nil)
+var _ wl.MemoryReporter = (*Engine)(nil)
 
-// New builds a TWL engine over dev.
+// MaxIPSInterval is the largest inter-pair swap interval the engine's uint8
+// counters can express.
+const MaxIPSInterval = math.MaxUint8
+
+// New builds a TWL engine over dev. Configuration values outside what the
+// engine can represent — a toss-up interval outside [1, 128], an inter-pair
+// swap interval above MaxIPSInterval, an ET entry past uint32 after
+// measurement noise — are errors wrapping wl.ErrBadConfig.
 func New(dev *pcm.Device, cfg Config) (*Engine, error) {
 	if dev.Pages()%2 != 0 {
 		return nil, fmt.Errorf("core: TWL needs an even page count to form pairs: %w", wl.ErrBadConfig)
@@ -149,48 +171,58 @@ func New(dev *pcm.Device, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("core: TossUpInterval %d outside [1,%d]: %w",
 			cfg.TossUpInterval, tables.MaxInterval, wl.ErrBadConfig)
 	}
-	if cfg.InterPairSwapInterval < 0 {
-		return nil, fmt.Errorf("core: InterPairSwapInterval must be >= 0: %w", wl.ErrBadConfig)
+	if cfg.InterPairSwapInterval < 0 || cfg.InterPairSwapInterval > MaxIPSInterval {
+		return nil, fmt.Errorf("core: InterPairSwapInterval %d outside [0,%d]: %w",
+			cfg.InterPairSwapInterval, MaxIPSInterval, wl.ErrBadConfig)
 	}
 	if cfg.ETNoiseSigma < 0 {
 		return nil, fmt.Errorf("core: ETNoiseSigma must be >= 0: %w", wl.ErrBadConfig)
 	}
+	et := buildET(dev, cfg)
+	et32 := make([]uint32, len(et))
+	for i, v := range et {
+		if v > math.MaxUint32 {
+			return nil, fmt.Errorf("core: ET[%d] = %d exceeds uint32: %w", i, v, wl.ErrBadConfig)
+		}
+		et32[i] = uint32(v)
+	}
+	swpt, err := buildPairs(et, cfg)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
-		dev:      dev,
-		cfg:      cfg,
-		rt:       tables.NewRemap(dev.Pages()),
-		et:       buildET(dev, cfg),
-		wct:      tables.NewCounter(dev.Pages()),
-		pairIdx:  make([]int, dev.Pages()),
-		ipsCount: make([]uint32, dev.Pages()),
+		dev:  dev,
+		cfg:  cfg,
+		rt:   tables.NewRemap(dev.Pages()),
+		swpt: swpt,
+		et:   et32,
+		wct:  tables.NewCounter(dev.Pages()),
+		ips:  make([]uint8, dev.Pages()),
 	}
 	if cfg.UseFeistel {
 		e.src = rng.NewFeistel(cfg.Seed)
 	} else {
 		e.src = xorshiftAlpha{rng.NewXorshift(cfg.Seed)}
 	}
-	var err error
-	e.swpt, err = buildPairs(e.et, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for pa := 0; pa < dev.Pages(); pa++ {
-		rep := pa
-		if q := e.swpt.Partner(pa); q < rep {
-			rep = q
-		}
-		e.pairIdx[pa] = rep
-	}
-	// repLA caches pairIdx[rt.Phys(la)] so the sweep fast path loads one
-	// table, not a three-deep pointer chase. A toss-up swap exchanges la
-	// with the logical owner of its *pair partner* — both sides of the same
-	// pair, same representative — so only the inter-pair swap moves a
-	// logical page across pairs and has to maintain this cache.
-	e.repLA = make([]int, dev.Pages())
-	for la := range e.repLA {
-		e.repLA[la] = e.pairIdx[e.rt.Phys(la)]
-	}
+	e.repLA = make([]uint32, dev.Pages())
+	e.rebuildRepLA()
 	return e, nil
+}
+
+// rebuildRepLA recomputes the repLA cache from RT and the pair table.
+func (e *Engine) rebuildRepLA() {
+	for la := range e.repLA {
+		e.repLA[la] = uint32(e.pairRep(e.rt.Phys(la)))
+	}
+}
+
+// pairRep returns the pair representative (smaller member) of physical page
+// pa, which indexes the pair's WCT entry.
+func (e *Engine) pairRep(pa int) int {
+	if q := e.swpt.Partner(pa); q < pa {
+		return q
+	}
+	return pa
 }
 
 // buildET returns the endurance table the engine consults: the device's
@@ -267,26 +299,34 @@ func (e *Engine) Write(la int, tag uint64) wl.Cost {
 	// Inter-pair swap: every InterPairSwapInterval writes to this logical
 	// page, exchange it with a random logical page before serving the write.
 	if e.cfg.InterPairSwapInterval > 0 {
-		e.ipsCount[la]++
-		if e.ipsCount[la] >= uint32(e.cfg.InterPairSwapInterval) {
-			e.ipsCount[la] = 0
+		// int arithmetic before the compare: a live counter stays below the
+		// (≤ 255) interval, but a restored out-of-band state must fire
+		// rather than wrap at the uint8 boundary.
+		c := int(e.ips[la]) + 1
+		if c >= e.cfg.InterPairSwapInterval {
+			e.ips[la] = 0
 			cost.Add(e.interPairSwap(la, tag))
 			return cost
 		}
+		e.ips[la] = uint8(c)
 	}
 
 	pa := e.rt.Phys(la)
 	pp := e.swpt.Partner(pa)
+	rep := pa
+	if pp < rep {
+		rep = pp
+	}
 
 	// WCT countdown: the toss-up only runs at the interval. A wrap to zero
 	// is the 128th increment (see tables.Counter), which covers the
 	// interval == tables.MaxInterval case in 7 bits.
-	if v := e.wct.Inc(e.pairIdx[pa]); v != 0 && int(v) < e.cfg.TossUpInterval {
+	if v := e.wct.Inc(rep); v != 0 && int(v) < e.cfg.TossUpInterval {
 		e.dev.Write(pa, tag)
 		cost.DeviceWrites++
 		return cost
 	}
-	e.wct.Clear(e.pairIdx[pa])
+	e.wct.Clear(rep)
 
 	// Toss-up (Figure 4b): ET lookups for both endurances, RNG draw,
 	// compare α against E_A/(E_A+E_B).
@@ -357,11 +397,11 @@ func ipsDistance(c uint32, interval int) int {
 func (e *Engine) runHorizon(la, pa, n int) int {
 	k := n
 	if e.cfg.InterPairSwapInterval > 0 {
-		if d := ipsDistance(e.ipsCount[la], e.cfg.InterPairSwapInterval) - 1; d < k {
+		if d := ipsDistance(uint32(e.ips[la]), e.cfg.InterPairSwapInterval) - 1; d < k {
 			k = d
 		}
 	}
-	if d := tossUpDistance(e.wct.Get(e.pairIdx[pa]), e.cfg.TossUpInterval) - 1; d < k {
+	if d := tossUpDistance(e.wct.Get(e.pairRep(pa)), e.cfg.TossUpInterval) - 1; d < k {
 		k = d
 	}
 	return k
@@ -386,9 +426,11 @@ func (e *Engine) WriteRun(la int, tag uint64, n int) (wl.Cost, int) {
 	applied := e.dev.WriteN(pa, tag, k)
 	e.stats.DemandWrites += uint64(applied)
 	if e.cfg.InterPairSwapInterval > 0 {
-		e.ipsCount[la] += uint32(applied)
+		// The horizon stops strictly before the next inter-pair swap, so the
+		// advanced counter stays below the (≤ 255) interval and fits uint8.
+		e.ips[la] += uint8(applied)
 	}
-	e.wct.Add(e.pairIdx[pa], applied)
+	e.wct.Add(e.pairRep(pa), applied)
 	return wl.Cost{DeviceWrites: 1, ExtraCycles: wl.ControlCycles + 2*wl.TableCycles}, applied
 }
 
@@ -408,8 +450,8 @@ func (e *Engine) WriteSweep(la int, tag uint64, n int) (wl.Cost, int) {
 	phys := e.rt.PhysTable()[la : la+n]
 	wct := e.wct.Raw()
 	reps := e.repLA[la : la+n]
-	ips := e.ipsCount[la : la+n]
-	ipsI, tossI := uint32(e.cfg.InterPairSwapInterval), e.cfg.TossUpInterval
+	ips := e.ips[la : la+n]
+	ipsI, tossI := e.cfg.InterPairSwapInterval, e.cfg.TossUpInterval
 	// While every page keeps more than n writes of endurance, no write in
 	// this sweep can wear a page out and the per-write failure pre-check is
 	// skipped. Near end of life the walk checks Remaining before each write:
@@ -421,10 +463,11 @@ func (e *Engine) WriteSweep(la int, tag uint64, n int) (wl.Cost, int) {
 	safe := e.dev.MinRemainingAtLeast(uint64(n) + 1)
 	for i := range ips {
 		// The next write here fires the inter-pair swap when its counter is
-		// one short of the interval (c+1 >= interval ⇔ ipsDistance == 1; a
-		// live counter sits below the interval, so c+1 cannot overflow).
+		// one short of the interval (c+1 >= interval ⇔ ipsDistance == 1).
+		// int arithmetic: a uint8 counter at 254 under interval 255 must
+		// not wrap in the c+1.
 		c := ips[i]
-		if ipsI > 0 && c+1 >= ipsI {
+		if ipsI > 0 && int(c)+1 >= ipsI {
 			break
 		}
 		rep := reps[i]
@@ -441,7 +484,7 @@ func (e *Engine) WriteSweep(la int, tag uint64, n int) (wl.Cost, int) {
 		if ipsI > 0 {
 			ips[i] = c + 1
 		}
-		pa := phys[i]
+		pa := int(phys[i])
 		buf = append(buf, pa)
 		if !safe && e.dev.Remaining(pa) <= 1 {
 			break
@@ -500,13 +543,11 @@ func (e *Engine) PartnerOf(la int) int {
 	return e.rt.Log(e.swpt.Partner(e.rt.Phys(la)))
 }
 
-// TableBytes implements wl.MemoryReporter: the per-page metadata the wide
-// engine carries (53 B/page; the packed engine's 22 B/page is the
-// comparison point in the BENCH footprint report).
+// TableBytes implements wl.MemoryReporter: the engine's per-page metadata,
+// 22 B/page plus the sweep scratch buffer.
 func (e *Engine) TableBytes() int64 {
-	return e.rt.Bytes() + e.swpt.Bytes() + int64(len(e.et))*8 + e.wct.Bytes() +
-		int64(len(e.pairIdx))*8 + int64(len(e.repLA))*8 + int64(len(e.ipsCount))*4 +
-		int64(len(e.scratch))*8
+	return e.rt.Bytes() + e.swpt.Bytes() + int64(len(e.et))*4 + e.wct.Bytes() +
+		int64(len(e.repLA))*4 + int64(len(e.ips)) + int64(len(e.scratch))*8
 }
 
 // CheckInvariants implements wl.Checker: RT bijection, SWPT involution
@@ -522,33 +563,24 @@ func (e *Engine) CheckInvariants() error {
 	}
 	pages := e.dev.Pages()
 	if e.rt.Len() != pages || e.swpt.Len() != pages || len(e.et) != pages ||
-		e.wct.Len() != pages || len(e.pairIdx) != pages || len(e.ipsCount) != pages ||
-		len(e.repLA) != pages {
-		return fmt.Errorf("core: table sizes RT=%d SWPT=%d ET=%d WCT=%d pairIdx=%d ips=%d repLA=%d do not all match %d pages",
-			e.rt.Len(), e.swpt.Len(), len(e.et), e.wct.Len(), len(e.pairIdx), len(e.ipsCount), len(e.repLA), pages)
+		e.wct.Len() != pages || len(e.ips) != pages || len(e.repLA) != pages {
+		return fmt.Errorf("core: table sizes RT=%d SWPT=%d ET=%d WCT=%d ips=%d repLA=%d do not all match %d pages",
+			e.rt.Len(), e.swpt.Len(), len(e.et), e.wct.Len(), len(e.ips), len(e.repLA), pages)
 	}
 	for la := 0; la < pages; la++ {
-		if e.repLA[la] != e.pairIdx[e.rt.Phys(la)] {
-			return fmt.Errorf("core: repLA[%d] = %d, want pairIdx[rt.Phys] = %d",
-				la, e.repLA[la], e.pairIdx[e.rt.Phys(la)])
+		if int(e.repLA[la]) != e.pairRep(e.rt.Phys(la)) {
+			return fmt.Errorf("core: repLA[%d] = %d, want pair representative %d",
+				la, e.repLA[la], e.pairRep(e.rt.Phys(la)))
 		}
 	}
 	for pa := 0; pa < pages; pa++ {
 		if e.et[pa] == 0 {
 			return fmt.Errorf("core: ET[%d] is zero; the toss-up ratio would divide by zero", pa)
 		}
-		// pairIdx caches the pair representative: the smaller member.
-		rep := pa
-		if q := e.swpt.Partner(pa); q < rep {
-			rep = q
-		}
-		if e.pairIdx[pa] != rep {
-			return fmt.Errorf("core: pairIdx[%d] = %d, want representative %d", pa, e.pairIdx[pa], rep)
-		}
 		// The WCT is indexed by representative only: non-representative
 		// entries are never touched, and a live countdown is cleared before
 		// it reaches the interval.
-		if v := int(e.wct.Get(pa)); e.pairIdx[pa] != pa && v != 0 {
+		if v := int(e.wct.Get(pa)); e.pairRep(pa) != pa && v != 0 {
 			return fmt.Errorf("core: WCT[%d] = %d but %d is not a pair representative", pa, v, pa)
 		} else if v >= e.cfg.TossUpInterval && e.cfg.TossUpInterval < tables.MaxInterval {
 			return fmt.Errorf("core: WCT[%d] = %d reached the toss-up interval %d without being cleared",
@@ -556,8 +588,8 @@ func (e *Engine) CheckInvariants() error {
 		}
 	}
 	if e.cfg.InterPairSwapInterval > 0 {
-		for la, c := range e.ipsCount {
-			if c >= uint32(e.cfg.InterPairSwapInterval) {
+		for la, c := range e.ips {
+			if int(c) >= e.cfg.InterPairSwapInterval {
 				return fmt.Errorf("core: ipsCount[%d] = %d reached the inter-pair swap interval %d without resetting",
 					la, c, e.cfg.InterPairSwapInterval)
 			}
@@ -574,8 +606,10 @@ func (e *Engine) CheckInvariants() error {
 // Snapshot implements wl.Snapshotter: the RT, the WCT, the inter-pair swap
 // counters, the α-RNG stream position and the stats. The RNG is persisted
 // through its own Snapshotter implementation (Feistel or xorshift depending
-// on Config.UseFeistel); SWPT/ET/pairIdx are endurance-derived statics and
-// repLA is rebuilt from the restored RT.
+// on Config.UseFeistel); SWPT and ET are endurance-derived statics and
+// repLA is rebuilt from the restored RT. The inter-pair swap counters go
+// out as a length-prefixed uint32 stream, the encoding of the uint32
+// counters the engine once kept, so older checkpoints still restore.
 func (e *Engine) Snapshot(w io.Writer) error {
 	if err := e.rt.Snapshot(w); err != nil {
 		return err
@@ -584,7 +618,10 @@ func (e *Engine) Snapshot(w io.Writer) error {
 		return err
 	}
 	sw := snap.NewWriter(w)
-	sw.U32s(e.ipsCount)
+	sw.U32(uint32(len(e.ips)))
+	for _, c := range e.ips {
+		sw.U32(uint32(c))
+	}
 	if err := sw.Err(); err != nil {
 		return err
 	}
@@ -598,7 +635,9 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	return e.stats.Snapshot(w)
 }
 
-// Restore implements wl.Snapshotter.
+// Restore implements wl.Snapshotter. An inter-pair swap counter past
+// MaxIPSInterval (possible in a checkpoint from the uint32 counters) is
+// rejected rather than truncated.
 func (e *Engine) Restore(r io.Reader) error {
 	if err := e.rt.Restore(r); err != nil {
 		return err
@@ -607,7 +646,16 @@ func (e *Engine) Restore(r io.Reader) error {
 		return err
 	}
 	sr := snap.NewReader(r)
-	sr.U32sInto(e.ipsCount)
+	if got := sr.U32(); sr.Err() == nil && int(got) != len(e.ips) {
+		return fmt.Errorf("core: checkpoint ips length %d does not match %d pages", got, len(e.ips))
+	}
+	for la := range e.ips {
+		v := sr.U32()
+		if v > MaxIPSInterval {
+			return fmt.Errorf("core: checkpoint ipsCount[%d] = %d exceeds uint8", la, v)
+		}
+		e.ips[la] = uint8(v)
+	}
 	if err := sr.Err(); err != nil {
 		return err
 	}
@@ -621,9 +669,7 @@ func (e *Engine) Restore(r io.Reader) error {
 	if err := e.stats.Restore(r); err != nil {
 		return err
 	}
-	for la := range e.repLA {
-		e.repLA[la] = e.pairIdx[e.rt.Phys(la)]
-	}
+	e.rebuildRepLA()
 	return nil
 }
 
@@ -634,7 +680,7 @@ func init() {
 		Order:   40,
 		Doc:     "toss-up wear leveling, strong-weak pairing (the paper's contribution)",
 		New: func(dev *pcm.Device, seed uint64) (wl.Scheme, error) {
-			return NewAuto(dev, DefaultConfig(seed))
+			return New(dev, DefaultConfig(seed))
 		},
 	})
 	wl.Register(wl.Registration{
@@ -644,7 +690,7 @@ func init() {
 		New: func(dev *pcm.Device, seed uint64) (wl.Scheme, error) {
 			cfg := DefaultConfig(seed)
 			cfg.Pairing = Adjacent
-			return NewAuto(dev, cfg)
+			return New(dev, cfg)
 		},
 	})
 	wl.Register(wl.Registration{
@@ -654,7 +700,7 @@ func init() {
 		New: func(dev *pcm.Device, seed uint64) (wl.Scheme, error) {
 			cfg := DefaultConfig(seed)
 			cfg.Pairing = Random
-			return NewAuto(dev, cfg)
+			return New(dev, cfg)
 		},
 	})
 }

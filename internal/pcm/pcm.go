@@ -53,8 +53,16 @@ func (g Geometry) Validate() error {
 	if g.Ranks <= 0 || g.Banks <= 0 {
 		return errors.New("pcm: Ranks and Banks must be positive")
 	}
+	if int64(g.TotalPages()) > MaxPages {
+		return fmt.Errorf("pcm: %d pages exceed the limit %d", g.TotalPages(), int64(MaxPages))
+	}
 	return nil
 }
+
+// MaxPages is the largest physical page count a geometry may describe: the
+// metadata tables store page addresses in 32 bits, with -1 as the pair
+// table's "no page" marker.
+const MaxPages = 1<<31 - 1
 
 // Capacity returns the visible byte capacity (spares excluded).
 func (g Geometry) Capacity() int64 {
@@ -110,28 +118,32 @@ func DefaultTiming() Timing {
 	return Timing{ReadCycles: 250, SetCycles: 2000, ResetCycles: 250, ClockHz: 2e9}
 }
 
-// Device is a PCM array with per-page wear tracking.
+// ErrBadConfig is wrapped by NewDevice when an endurance value does not fit
+// the device's storage width. The scheme layer re-exports it as
+// wl.ErrBadConfig, so every configuration error in the stack classifies
+// with one errors.Is check.
+var ErrBadConfig = errors.New("invalid configuration")
+
+// MaxEndurance is the largest per-page endurance a device accepts (2^31).
+//
+// The device stores endurance and wear as uint32: the paper's mean
+// endurance is 10^8 ≈ 2^26.6, and the paper's full geometry is 8Mi pages,
+// where 64-bit counters would cost ~270 MB before any scheme table. Capping
+// endurance at 2^31 leaves a full 2^31 of wear headroom past the endurance
+// boundary. Wear exceeds endurance only by writes applied after a failure;
+// the simulator stops on the first unhandled failure and the retirement
+// layer redirects traffic off dead cells, so the overshoot is bounded by
+// one bulk chunk and never approaches the uint32 ceiling.
+const MaxEndurance = 1 << 31
+
+// Device is a PCM array with per-page wear tracking: 16 bytes of state per
+// page (uint32 endurance and wear, a 64-bit payload tag).
 type Device struct {
 	geom      Geometry // snap: construction input
 	timing    Timing   // snap: construction input
-	endurance []uint64 // snap: construction input
-	// invEndurance caches 1/endurance per page so wear-fraction snapshots
-	// (Summary, WearHistogram) multiply instead of dividing in their per-page
-	// loops.
-	invEndurance []float64 // snap: derived from endurance at NewDevice
-	wear         []uint64
-	payload      []uint64
-
-	// Packed storage mode (NewPackedDevice): end32/wear32 hold the endurance
-	// map and wear counters as uint32 and endurance/invEndurance/wear stay
-	// nil, halving the per-page device state (16 B/page vs 32 B/page). Every
-	// method that touches wear or endurance branches once on wear32 != nil
-	// into a u32 twin (packed.go); payload and all failure/retirement state
-	// are width-independent and shared. The two modes are bit-identical in
-	// behavior and in snapshot wire format — see packed.go for the width
-	// constraints that make that hold.
-	end32  []uint32 // snap: construction input (width twin of endurance)
-	wear32 []uint32
+	endurance []uint32 // snap: construction input
+	wear      []uint32
+	payload   []uint64
 
 	writes uint64 // total page writes applied (demand + swap alike)
 	reads  uint64
@@ -167,7 +179,8 @@ type Device struct {
 
 // NewDevice builds a device with the given geometry and per-page endurance
 // map. len(endurance) must equal geom.TotalPages() — visible pages first,
-// then spares.
+// then spares — and every value must lie in [1, MaxEndurance]; a value
+// above the limit is an error wrapping ErrBadConfig.
 func NewDevice(geom Geometry, timing Timing, endurance []uint64) (*Device, error) {
 	if err := geom.Validate(); err != nil {
 		return nil, err
@@ -176,24 +189,23 @@ func NewDevice(geom Geometry, timing Timing, endurance []uint64) (*Device, error
 		return nil, fmt.Errorf("pcm: endurance map has %d entries, geometry has %d pages (%d visible + %d spare)",
 			len(endurance), geom.TotalPages(), geom.Pages, geom.SparePages)
 	}
+	end := make([]uint32, len(endurance))
 	for i, e := range endurance {
 		if e == 0 {
 			return nil, fmt.Errorf("pcm: page %d has zero endurance", i)
 		}
-	}
-	end := make([]uint64, len(endurance))
-	copy(end, endurance)
-	inv := make([]float64, len(end))
-	for i, e := range end {
-		inv[i] = 1 / float64(e)
+		if e > MaxEndurance {
+			return nil, fmt.Errorf("pcm: page %d endurance %d exceeds the limit %d: %w",
+				i, e, uint64(MaxEndurance), ErrBadConfig)
+		}
+		end[i] = uint32(e)
 	}
 	return &Device{
-		geom:         geom,
-		timing:       timing,
-		endurance:    end,
-		invEndurance: inv,
-		wear:         make([]uint64, geom.TotalPages()),
-		payload:      make([]uint64, geom.TotalPages()),
+		geom:      geom,
+		timing:    timing,
+		endurance: end,
+		wear:      make([]uint32, geom.TotalPages()),
+		payload:   make([]uint64, geom.TotalPages()),
 	}, nil
 }
 
@@ -227,12 +239,7 @@ func (d *Device) resolve(pp int) int {
 
 // Endurance returns the endurance limit of physical cell pp (raw: a retired
 // page reports its own dead cell, not its spare's).
-func (d *Device) Endurance(pp int) uint64 {
-	if d.wear32 != nil {
-		return uint64(d.end32[pp])
-	}
-	return d.endurance[pp]
-}
+func (d *Device) Endurance(pp int) uint64 { return uint64(d.endurance[pp]) }
 
 // EnduranceMap returns a copy of the visible pages' endurance map, matching
 // WriteCounts.Counts: schemes derive their pairing and ordering tables from
@@ -240,25 +247,16 @@ func (d *Device) Endurance(pp int) uint64 {
 // device's ground truth. The spare region is excluded.
 func (d *Device) EnduranceMap() []uint64 {
 	out := make([]uint64, d.geom.Pages)
-	if d.wear32 != nil {
-		for i, e := range d.end32[:d.geom.Pages] {
-			out[i] = uint64(e)
-		}
-		return out
+	for i, e := range d.endurance[:d.geom.Pages] {
+		out[i] = uint64(e)
 	}
-	copy(out, d.endurance[:d.geom.Pages])
 	return out
 }
 
 // Wear returns the accumulated write count of physical cell pp (raw, like
 // Endurance, so wear heatmaps show the array's true state — a retired
 // page's cell stays pegged at its endurance).
-func (d *Device) Wear(pp int) uint64 {
-	if d.wear32 != nil {
-		return uint64(d.wear32[pp])
-	}
-	return d.wear[pp]
-}
+func (d *Device) Wear(pp int) uint64 { return uint64(d.wear[pp]) }
 
 // Remaining returns how many more writes page pp can absorb before failing.
 // Unlike Wear/Endurance it follows redirects: writes to a retired page land
@@ -266,16 +264,10 @@ func (d *Device) Wear(pp int) uint64 {
 // policy and horizon decisions.
 func (d *Device) Remaining(pp int) uint64 {
 	pp = d.resolve(pp)
-	if d.wear32 != nil {
-		if d.wear32[pp] >= d.end32[pp] {
-			return 0
-		}
-		return uint64(d.end32[pp] - d.wear32[pp])
-	}
 	if d.wear[pp] >= d.endurance[pp] {
 		return 0
 	}
-	return d.endurance[pp] - d.wear[pp]
+	return uint64(d.endurance[pp] - d.wear[pp])
 }
 
 // MinRemainingAtLeast reports whether every page can still absorb at least
@@ -312,9 +304,6 @@ func (d *Device) MinRemainingAtLeast(n uint64) bool {
 			return false
 		}
 	}
-	if d.wear32 != nil {
-		return d.minRemainingAtLeast32(n)
-	}
 	min := ^uint64(0)
 	visible := d.geom.Pages
 	for pp, w := range d.wear {
@@ -331,7 +320,7 @@ func (d *Device) MinRemainingAtLeast(n uint64) bool {
 		}
 		var r uint64
 		if w < d.endurance[pp] {
-			r = d.endurance[pp] - w
+			r = uint64(d.endurance[pp] - w)
 		}
 		if r < min {
 			min = r
@@ -348,9 +337,6 @@ func (d *Device) MinRemainingAtLeast(n uint64) bool {
 // cell out (wear reached endurance). Writes to an already-failed page keep
 // counting wear; the simulator decides when to stop.
 func (d *Device) Write(pp int, tag uint64) bool {
-	if d.wear32 != nil {
-		return d.write32(pp, tag)
-	}
 	pp = d.resolve(pp)
 	d.wear[pp]++
 	d.payload[pp] = tag
@@ -378,21 +364,19 @@ func (d *Device) WriteN(pp int, tag uint64, n int) int {
 	if n <= 0 {
 		return 0
 	}
-	if d.wear32 != nil {
-		return d.writeN32(pp, tag, n)
-	}
 	pp = d.resolve(pp)
 	applied := uint64(n)
 	w, e := d.wear[pp], d.endurance[pp]
-	// The boundary test compares against the page's remaining headroom
-	// (e-w, well-defined when w < e) rather than forming w+applied, which
-	// can wrap uint64 near the endurance ceiling and silently skip the clamp.
-	if w < e && applied >= e-w {
+	// The boundary test compares the run length against the page's
+	// remaining headroom (e-w, well-defined when w < e) in 64 bits rather
+	// than forming w+applied, which would wrap the uint32 counter on a long
+	// run and silently skip the clamp.
+	if w < e && applied >= uint64(e-w) {
 		// Crosses the endurance boundary: stop at the failing write.
-		applied = e - w
+		applied = uint64(e - w)
 		d.failedLog = append(d.failedLog, pp)
 	}
-	d.wear[pp] = w + applied
+	d.wear[pp] = w + uint32(applied)
 	d.payload[pp] = tag + applied - 1
 	d.writes += applied
 	return int(applied)
@@ -412,17 +396,14 @@ func (d *Device) RewriteN(pp int, n int) int {
 	if n <= 0 {
 		return 0
 	}
-	if d.wear32 != nil {
-		return d.rewriteN32(pp, n)
-	}
 	pp = d.resolve(pp)
 	applied := uint64(n)
 	w, e := d.wear[pp], d.endurance[pp]
-	if w < e && applied >= e-w {
-		applied = e - w
+	if w < e && applied >= uint64(e-w) {
+		applied = uint64(e - w)
 		d.failedLog = append(d.failedLog, pp)
 	}
-	d.wear[pp] = w + applied
+	d.wear[pp] = w + uint32(applied)
 	d.writes += applied
 	return int(applied)
 }
@@ -436,9 +417,6 @@ func (d *Device) RewriteN(pp int, n int) int {
 func (d *Device) WriteRange(pp0 int, tag uint64, n int) int {
 	if n <= 0 {
 		return 0
-	}
-	if d.wear32 != nil {
-		return d.writeRange32(pp0, tag, n)
 	}
 	if d.redirect != nil {
 		return d.writeRangeSlow(pp0, tag, n)
@@ -493,9 +471,6 @@ func (d *Device) writeRangeSlow(pp0 int, tag uint64, n int) int {
 //
 //twl:hotpath
 func (d *Device) WriteSeq(pps []int, tag uint64) int {
-	if d.wear32 != nil {
-		return d.writeSeq32(pps, tag)
-	}
 	wear := d.wear
 	end := d.endurance[:len(wear)]
 	pay := d.payload[:len(wear)]
@@ -619,24 +594,13 @@ func (d *Device) TotalReads() uint64 { return d.reads }
 
 // TotalEndurance returns the sum of all cells' endurance, spares included —
 // the number of page writes a perfect wear-leveler with perfect retirement
-// could absorb. The ideal-lifetime calculations use this. The sum saturates
-// at MaxUint64 instead of wrapping, so budget math derived from it (demand
-// caps, normalized lifetimes) degrades to a loose bound rather than a small
-// garbage value on adversarially large endurance maps.
+// could absorb. The ideal-lifetime calculations use this. The sum cannot
+// wrap: at most 2^31 pages (Geometry.Validate) of at most MaxEndurance
+// (2^31) each stay below 2^62.
 func (d *Device) TotalEndurance() uint64 {
 	var sum uint64
-	if d.wear32 != nil {
-		for _, e := range d.end32 {
-			sum += uint64(e)
-		}
-		return sum
-	}
 	for _, e := range d.endurance {
-		if next := sum + e; next >= sum {
-			sum = next
-		} else {
-			return ^uint64(0)
-		}
+		sum += uint64(e)
 	}
 	return sum
 }
@@ -654,21 +618,23 @@ type WearSummary struct {
 }
 
 // Summary computes the current WearSummary.
+//
+// The wear fraction is computed as w * (1/e), reciprocal then multiply, and
+// every wear-fraction reader uses that same expression, so summaries and
+// histograms agree bit for bit.
 func (d *Device) Summary() WearSummary {
-	if d.wear32 != nil {
-		return d.summary32()
-	}
 	var s WearSummary
 	s.MaxWearPage = -1
 	s.MaxFractionPage = -1
 	var fracSum float64
-	for pp, w := range d.wear {
+	for pp, w32 := range d.wear {
+		w := uint64(w32)
 		s.TotalWear += w
 		if w > s.MaxWear {
 			s.MaxWear = w
 			s.MaxWearPage = pp
 		}
-		f := float64(w) * d.invEndurance[pp]
+		f := float64(w) * (1 / float64(d.endurance[pp]))
 		fracSum += f
 		if f > s.MaxFraction {
 			s.MaxFraction = f
@@ -687,12 +653,9 @@ func (d *Device) WearHistogram(buckets int) []int {
 	if buckets <= 0 {
 		return nil
 	}
-	if d.wear32 != nil {
-		return d.wearHistogram32(buckets)
-	}
 	h := make([]int, buckets)
 	for pp, w := range d.wear {
-		f := float64(w) * d.invEndurance[pp]
+		f := float64(w) * (1 / float64(d.endurance[pp]))
 		b := int(f * float64(buckets))
 		if b >= buckets {
 			b = buckets - 1
@@ -708,9 +671,6 @@ func (d *Device) Reset() {
 	for i := range d.wear {
 		d.wear[i] = 0
 	}
-	for i := range d.wear32 {
-		d.wear32[i] = 0
-	}
 	for i := range d.payload {
 		d.payload[i] = 0
 	}
@@ -723,4 +683,40 @@ func (d *Device) Reset() {
 	d.slack = 0
 	d.slackAt = 0
 	d.slackValid = false
+}
+
+// Footprint itemizes the device's per-page state arrays in bytes — the
+// layout audit behind the bytes-per-page accounting in BENCH reports.
+// Redirect is zero until the first retirement materializes the table.
+type Footprint struct {
+	Wear      int64 `json:"wear"`
+	Endurance int64 `json:"endurance"`
+	Payload   int64 `json:"payload"`
+	Redirect  int64 `json:"redirect"`
+}
+
+// Total sums the itemized bytes.
+func (f Footprint) Total() int64 {
+	return f.Wear + f.Endurance + f.Payload + f.Redirect
+}
+
+// PerPage returns Total divided by the page count.
+func (f Footprint) PerPage(pages int) float64 {
+	if pages <= 0 {
+		return 0
+	}
+	return float64(f.Total()) / float64(pages)
+}
+
+// Footprint reports the device's current per-page memory layout.
+func (d *Device) Footprint() Footprint {
+	f := Footprint{
+		Wear:      int64(len(d.wear)) * 4,
+		Endurance: int64(len(d.endurance)) * 4,
+		Payload:   int64(len(d.payload)) * 8,
+	}
+	if d.redirect != nil {
+		f.Redirect = int64(len(d.redirect))*8 + int64(len(d.isTarget))
+	}
+	return f
 }

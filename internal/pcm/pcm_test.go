@@ -159,7 +159,7 @@ func TestWearAccounting(t *testing.T) {
 // of Write calls, for arbitrary write sequences.
 func TestWearConservationProperty(t *testing.T) {
 	check := func(addrs []uint8) bool {
-		d := testDevice(t, 256, 1<<40)
+		d := testDevice(t, 256, MaxEndurance)
 		for _, a := range addrs {
 			d.Write(int(a), uint64(a))
 		}

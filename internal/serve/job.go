@@ -33,7 +33,6 @@ type JobSpec struct {
 	PageSize      int     `json:"page_size,omitempty"`
 	MeanEndurance float64 `json:"mean_endurance,omitempty"`
 	SigmaFraction float64 `json:"sigma_fraction,omitempty"`
-	Packed        bool    `json:"packed,omitempty"`
 
 	// Shards > 0 routes attack cells through the bank-sharded runner
 	// (Pages must divide evenly). Bench cells cannot shard — the runner
@@ -131,7 +130,6 @@ func (sp JobSpec) system(seed uint64) twl.SystemConfig {
 		PageSize:      sp.PageSize,
 		MeanEndurance: sp.MeanEndurance,
 		SigmaFraction: sp.SigmaFraction,
-		Packed:        sp.Packed,
 		Seed:          seed,
 	}
 }
@@ -179,12 +177,13 @@ func (c *cell) sourceKind() (kind, name string) {
 // under a version prefix so a change to result semantics invalidates old
 // cache entries. Sharding is part of the key — a sharded run is a different
 // (also deterministic) experiment than an unsharded one, not a different
-// route to the same bytes.
+// route to the same bytes. v2 dropped the storage-width field when the
+// device got a single layout; v1 keys are orphaned rather than shared.
 func cellMaterial(sys twl.SystemConfig, scheme, source string, shards int, maxDemand uint64) string {
 	return fmt.Sprintf(
-		"twlcell/v1|scheme=%s|source=%s|pages=%d|page_size=%d|mean_endurance=%g|sigma_fraction=%g|packed=%t|seed=%d|shards=%d|cap=%d",
+		"twlcell/v2|scheme=%s|source=%s|pages=%d|page_size=%d|mean_endurance=%g|sigma_fraction=%g|seed=%d|shards=%d|cap=%d",
 		scheme, source, sys.Pages, sys.PageSize, sys.MeanEndurance, sys.SigmaFraction,
-		sys.Packed, sys.Seed, shards, maxDemand)
+		sys.Seed, shards, maxDemand)
 }
 
 // buildCells expands a normalized spec into its deterministic cell list:

@@ -180,7 +180,7 @@ func TestCheckpointValidation(t *testing.T) {
 	}
 
 	// Resuming under a different scheme must be rejected by the meta check.
-	other, err := wl.Default.New("NOWL", wltest.NewDeviceEndurance(t, diffPages, diffEndurance, diffSeed), diffSeed)
+	other, err := wl.Build("NOWL", wltest.NewDeviceEndurance(t, diffPages, diffEndurance, diffSeed), diffSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func FuzzCheckpointResume(f *testing.F) {
 		build := func(t *testing.T) wl.Scheme {
 			t.Helper()
 			dev := wltest.NewDeviceEndurance(t, 64, 500, diffSeed)
-			s, err := wl.Default.New(name, dev, diffSeed)
+			s, err := wl.Build(name, dev, diffSeed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -377,7 +377,7 @@ func TestStopPreemption(t *testing.T) {
 // just cannot be resumed.
 func TestStopWithoutCheckpoint(t *testing.T) {
 	dev := wltest.NewDeviceEndurance(t, 64, 1<<20, diffSeed)
-	s, err := wl.Default.New("StartGap", dev, diffSeed)
+	s, err := wl.Build("StartGap", dev, diffSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func benchLifetime(b *testing.B, scheme string, mode attack.Mode, disableFF bool
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		dev := wltest.NewDeviceEndurance(b, 512, 5000, 1)
-		s, err := wl.Default.New(scheme, dev, 1)
+		s, err := wl.Build(scheme, dev, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

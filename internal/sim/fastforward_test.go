@@ -163,7 +163,7 @@ func registryFactory(name string) schemeFactory {
 	return func(t *testing.T) wl.Scheme {
 		t.Helper()
 		dev := wltest.NewDeviceEndurance(t, diffPages, diffEndurance, diffSeed)
-		s, err := wl.Default.New(name, dev, diffSeed)
+		s, err := wl.Build(name, dev, diffSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +249,7 @@ func diffCompare(t *testing.T, build schemeFactory, kind string) {
 func TestFastForwardImplementers(t *testing.T) {
 	for _, name := range wl.Names() {
 		dev := wltest.NewDeviceEndurance(t, diffPages, diffEndurance, diffSeed)
-		s, err := wl.Default.New(name, dev, diffSeed)
+		s, err := wl.Build(name, dev, diffSeed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -167,7 +167,7 @@ func TestRetireLifetimeExtension(t *testing.T) {
 	bare := diffRunOne(t, func(t *testing.T) wl.Scheme {
 		t.Helper()
 		dev := wltest.NewSpareDevice(t, diffPages, retireSpares, diffEndurance, diffSeed)
-		s, err := wl.Default.New("TWL_swp", dev, diffSeed)
+		s, err := wl.Build("TWL_swp", dev, diffSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,8 +275,8 @@ func TestDecoratorStackingSnapshots(t *testing.T) {
 	for _, name := range wl.Names() {
 		for order := range retireOrders {
 			t.Run(name+"/"+order, func(t *testing.T) {
-				bareDev := wltest.NewSpareDevice(t, 64, 4, 1e15, diffSeed)
-				bare, err := wl.Default.New(name, bareDev, diffSeed)
+				bareDev := wltest.NewSpareDevice(t, 64, 4, wltest.EffectivelyInfinite, diffSeed)
+				bare, err := wl.Build(name, bareDev, diffSeed)
 				if err != nil {
 					t.Fatal(err)
 				}

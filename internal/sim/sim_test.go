@@ -106,7 +106,7 @@ func TestRunLifetimeRecordsCost(t *testing.T) {
 }
 
 func TestRunLifetimeCap(t *testing.T) {
-	dev := wltest.NewDeviceEndurance(t, 64, 1e12, 3)
+	dev := wltest.NewDeviceEndurance(t, 64, wltest.EffectivelyInfinite, 3)
 	s := nowl.New(dev)
 	st, _ := attack.New(attack.DefaultConfig(attack.Random, 64, 1))
 	res, err := RunLifetime(s, FromAttack(st), LifetimeConfig{MaxDemandWrites: 5000})

@@ -420,7 +420,7 @@ func (c *crcCountWriter) Write(p []byte) (int, error) {
 
 // WriteFile atomically writes a checkpoint file at path whose payload is
 // produced by encode. The payload is streamed to the temp file as encode
-// produces it (a full-geometry packed checkpoint would otherwise double the
+// produces it (a full-geometry checkpoint would otherwise double the
 // engine's resident memory); the length/CRC header is backfilled once the
 // payload size and checksum are known, before the fsync + rename install.
 // It returns the total file size in bytes.

@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"fmt"
 	"io"
 
 	"twl/internal/snap"
@@ -10,23 +11,52 @@ import (
 // complete contents — they are pure workload state with no derived caches —
 // so Restore only validates that the stream's geometry matches the receiver.
 
-// Snapshot serializes both directions of the mapping.
+// Snapshot serializes both directions of the mapping. Entries go out as
+// int64, the encoding of the int-wide table this one replaced, so older
+// checkpoints still restore.
 func (r *Remap) Snapshot(w io.Writer) error {
 	sw := snap.NewWriter(w)
-	sw.Ints(r.toPhys)
-	sw.Ints(r.toLog)
+	writeIndexes(sw, r.toPhys)
+	writeIndexes(sw, r.toLog)
 	return sw.Err()
 }
 
-// Restore loads a mapping written by Snapshot into a table of the same size.
+// Restore loads a mapping written by Snapshot into a table of the same size,
+// rejecting entries outside the table and any stream that is not a
+// bijection.
 func (r *Remap) Restore(rd io.Reader) error {
 	sr := snap.NewReader(rd)
-	sr.IntsInto(r.toPhys)
-	sr.IntsInto(r.toLog)
-	if err := sr.Err(); err != nil {
+	if err := readIndexes(sr, r.toPhys, "remap toPhys"); err != nil {
+		return err
+	}
+	if err := readIndexes(sr, r.toLog, "remap toLog"); err != nil {
 		return err
 	}
 	return r.CheckBijection()
+}
+
+// writeIndexes emits a page-address column as length-prefixed int64s.
+func writeIndexes(sw *snap.Writer, vs []uint32) {
+	sw.U32(uint32(len(vs)))
+	for _, v := range vs {
+		sw.I64(int64(v))
+	}
+}
+
+// readIndexes fills a page-address column from length-prefixed int64s,
+// rejecting entries that are not page addresses of the column.
+func readIndexes(sr *snap.Reader, dst []uint32, what string) error {
+	if got := sr.U32(); sr.Err() == nil && int(got) != len(dst) {
+		return fmt.Errorf("tables: %s length %d does not match destination %d", what, got, len(dst))
+	}
+	for i := range dst {
+		v := sr.I64()
+		if v < 0 || v >= int64(len(dst)) {
+			return fmt.Errorf("tables: %s entry %d = %d outside [0,%d)", what, i, v, len(dst))
+		}
+		dst[i] = uint32(v)
+	}
+	return sr.Err()
 }
 
 // Snapshot serializes the counters and the first-touch order. The order
@@ -45,24 +75,6 @@ func (w *WriteCounts) Restore(rd io.Reader) error {
 	sr.U64sInto(w.counts)
 	w.touched = sr.IntSlice(len(w.counts))
 	return sr.Err()
-}
-
-// Snapshot serializes the pairing.
-func (p *PairTable) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w)
-	sw.Ints(p.partner)
-	return sw.Err()
-}
-
-// Restore loads a pairing written by Snapshot and re-verifies the
-// involution invariant.
-func (p *PairTable) Restore(rd io.Reader) error {
-	sr := snap.NewReader(rd)
-	sr.IntsInto(p.partner)
-	if err := sr.Err(); err != nil {
-		return err
-	}
-	return p.Check()
 }
 
 // Snapshot serializes the counter entries.

@@ -17,25 +17,44 @@
 // reports in Section 5.4 from these shapes.
 package tables
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
+
+// Page addresses are stored in 32 bits: the paper's full geometry is 8Mi
+// pages, where int-wide remap and pair tables alone would cost 192 MB. The
+// pair table keeps -1 as its "unpaired" marker, so it stores int32 and a
+// table covers at most maxPages pages (pcm.Geometry.Validate enforces the
+// same bound on every device).
+const maxPages = math.MaxInt32
+
+// checkPages panics on a table size 32-bit page addresses cannot cover; a
+// validated device geometry never reaches it.
+func checkPages(n int) {
+	if n < 0 || int64(n) > maxPages {
+		panic(fmt.Sprintf("tables: %d pages outside [0,%d]", n, int64(maxPages)))
+	}
+}
 
 // Remap is the remapping table (RT): a bijection between logical page
 // addresses (LA) and physical page addresses (PA). It keeps the inverse
-// mapping so both directions are O(1) and swaps stay cheap.
+// mapping so both directions are O(1) and swaps stay cheap (8 B/page).
 type Remap struct {
-	toPhys []int // LA → PA
-	toLog  []int // PA → LA
+	toPhys []uint32 // LA → PA
+	toLog  []uint32 // PA → LA
 }
 
 // NewRemap returns an identity mapping over n pages.
 func NewRemap(n int) *Remap {
+	checkPages(n)
 	r := &Remap{
-		toPhys: make([]int, n),
-		toLog:  make([]int, n),
+		toPhys: make([]uint32, n),
+		toLog:  make([]uint32, n),
 	}
-	for i := 0; i < n; i++ {
-		r.toPhys[i] = i
-		r.toLog[i] = i
+	for i := range r.toPhys {
+		r.toPhys[i] = uint32(i)
+		r.toLog[i] = uint32(i)
 	}
 	return r
 }
@@ -44,29 +63,29 @@ func NewRemap(n int) *Remap {
 func (r *Remap) Len() int { return len(r.toPhys) }
 
 // Phys returns the physical page currently backing logical page la.
-func (r *Remap) Phys(la int) int { return r.toPhys[la] }
+func (r *Remap) Phys(la int) int { return int(r.toPhys[la]) }
 
 // Log returns the logical page currently mapped to physical page pa.
-func (r *Remap) Log(pa int) int { return r.toLog[pa] }
+func (r *Remap) Log(pa int) int { return int(r.toLog[pa]) }
 
 // PhysTable returns the LA → PA table itself, for bulk readers that walk
 // many entries in a hot loop (one slice load instead of a method call per
 // lookup). Callers must treat the slice as read-only, and must not hold it
 // across a Swap.
-func (r *Remap) PhysTable() []int { return r.toPhys }
+func (r *Remap) PhysTable() []uint32 { return r.toPhys }
 
 // SwapLogical exchanges the physical pages backing logical addresses la1 and
 // la2. This is the mapping update that accompanies a data swap.
 func (r *Remap) SwapLogical(la1, la2 int) {
 	p1, p2 := r.toPhys[la1], r.toPhys[la2]
 	r.toPhys[la1], r.toPhys[la2] = p2, p1
-	r.toLog[p1], r.toLog[p2] = la2, la1
+	r.toLog[p1], r.toLog[p2] = uint32(la2), uint32(la1)
 }
 
 // SwapPhysical exchanges the logical owners of physical addresses pa1 and
 // pa2 (the same operation as SwapLogical, addressed from the physical side).
 func (r *Remap) SwapPhysical(pa1, pa2 int) {
-	r.SwapLogical(r.toLog[pa1], r.toLog[pa2])
+	r.SwapLogical(r.Log(pa1), r.Log(pa2))
 }
 
 // CheckBijection verifies RT ∘ RT⁻¹ = identity; it returns a descriptive
@@ -74,10 +93,10 @@ func (r *Remap) SwapPhysical(pa1, pa2 int) {
 // use this invariant check.
 func (r *Remap) CheckBijection() error {
 	for la, pa := range r.toPhys {
-		if pa < 0 || pa >= len(r.toLog) {
+		if int(pa) >= len(r.toLog) {
 			return fmt.Errorf("tables: LA %d maps to out-of-range PA %d", la, pa)
 		}
-		if r.toLog[pa] != la {
+		if int(r.toLog[pa]) != la {
 			return fmt.Errorf("tables: LA %d → PA %d but PA %d → LA %d",
 				la, pa, pa, r.toLog[pa])
 		}
@@ -145,10 +164,11 @@ func (w *WriteCounts) Counts() []uint64 {
 }
 
 // PairTable is the strong-weak pair table (SWPT): partner[p] is the toss-up
-// partner of page p. A valid pairing is a symmetric involution with no fixed
-// points (every page has exactly one partner, and partnership is mutual).
+// partner of page p (4 B/page). A valid pairing is a symmetric involution
+// with no fixed points (every page has exactly one partner, and partnership
+// is mutual).
 type PairTable struct {
-	partner []int
+	partner []int32
 }
 
 // NewPairTable returns an unpaired table (all entries -1) over n pages.
@@ -157,7 +177,8 @@ func NewPairTable(n int) (*PairTable, error) {
 	if n%2 != 0 {
 		return nil, fmt.Errorf("tables: pair table needs an even page count, got %d", n)
 	}
-	p := &PairTable{partner: make([]int, n)}
+	checkPages(n)
+	p := &PairTable{partner: make([]int32, n)}
 	for i := range p.partner {
 		p.partner[i] = -1
 	}
@@ -173,19 +194,19 @@ func (p *PairTable) Bind(a, b int) error {
 	if a == b {
 		return fmt.Errorf("tables: cannot pair page %d with itself", a)
 	}
-	if p.partner[a] != -1 && p.partner[a] != b {
-		return fmt.Errorf("tables: page %d already paired with %d", a, p.partner[a])
+	if q := p.Partner(a); q != -1 && q != b {
+		return fmt.Errorf("tables: page %d already paired with %d", a, q)
 	}
-	if p.partner[b] != -1 && p.partner[b] != a {
-		return fmt.Errorf("tables: page %d already paired with %d", b, p.partner[b])
+	if q := p.Partner(b); q != -1 && q != a {
+		return fmt.Errorf("tables: page %d already paired with %d", b, q)
 	}
-	p.partner[a] = b
-	p.partner[b] = a
+	p.partner[a] = int32(b)
+	p.partner[b] = int32(a)
 	return nil
 }
 
 // Partner returns the partner of page a (or -1 if unpaired).
-func (p *PairTable) Partner(a int) int { return p.partner[a] }
+func (p *PairTable) Partner(a int) int { return int(p.partner[a]) }
 
 // Rebind atomically re-pairs after an inter-pair swap: given pages x and y
 // belonging to different pairs (x,px) and (y,py), it forms (x,py) and (y,px)
@@ -194,28 +215,29 @@ func (p *PairTable) Partner(a int) int { return p.partner[a] }
 // no-op.
 func (p *PairTable) Rebind(x, y int) {
 	px, py := p.partner[x], p.partner[y]
-	if px == y {
+	if int(px) == y {
 		return
 	}
 	p.partner[x] = py
-	p.partner[py] = x
+	p.partner[py] = int32(x)
 	p.partner[y] = px
-	p.partner[px] = y
+	p.partner[px] = int32(y)
 }
 
 // Check verifies the involution invariant: partner[partner[i]] == i and
 // partner[i] != i for all i.
 func (p *PairTable) Check() error {
-	for i, q := range p.partner {
+	for i := range p.partner {
+		q := p.Partner(i)
 		if q < 0 || q >= len(p.partner) {
 			return fmt.Errorf("tables: page %d has invalid partner %d", i, q)
 		}
 		if q == i {
 			return fmt.Errorf("tables: page %d paired with itself", i)
 		}
-		if p.partner[q] != i {
+		if p.Partner(q) != i {
 			return fmt.Errorf("tables: pairing not symmetric: %d→%d but %d→%d",
-				i, q, q, p.partner[q])
+				i, q, q, p.Partner(q))
 		}
 	}
 	return nil
@@ -269,3 +291,21 @@ func (c *Counter) Clear(i int) { c.counts[i] = 0 }
 
 // MaxInterval is the largest toss-up interval a 7-bit WCT can express.
 const MaxInterval = 128
+
+// Bytes accounting: every table reports the heap bytes of its per-page
+// state, so engines can itemize their memory footprint for the BENCH
+// bytes-per-page audit. Slice headers and bookkeeping are excluded — the
+// arrays dominate by orders of magnitude at any interesting geometry.
+
+// Bytes returns the table's per-page state size in bytes.
+func (r *Remap) Bytes() int64 { return int64(len(r.toPhys))*4 + int64(len(r.toLog))*4 }
+
+// Bytes returns the table's per-page state size in bytes (the touched list
+// grows and shrinks with the workload; it is counted at its current size).
+func (w *WriteCounts) Bytes() int64 { return int64(len(w.counts))*8 + int64(len(w.touched))*8 }
+
+// Bytes returns the table's per-page state size in bytes.
+func (p *PairTable) Bytes() int64 { return int64(len(p.partner)) * 4 }
+
+// Bytes returns the table's per-page state size in bytes.
+func (c *Counter) Bytes() int64 { return int64(len(c.counts)) }

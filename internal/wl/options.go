@@ -2,6 +2,7 @@ package wl
 
 import (
 	"fmt"
+	"strings"
 
 	"twl/internal/obs"
 	"twl/internal/pcm"
@@ -93,12 +94,17 @@ func Compose(s Scheme, opts ...Option) (Scheme, error) {
 }
 
 // Build constructs the named scheme over dev and applies the options'
-// decorator stack. This is the canonical constructor; New is the
-// option-less shim kept for old call sites.
+// decorator stack. An unrecognized name wraps ErrUnknownScheme; factory
+// failures are wrapped with the canonical scheme name.
 func (r *Registry) Build(name string, dev *pcm.Device, seed uint64, opts ...Option) (Scheme, error) {
-	s, err := r.New(name, dev, seed)
+	reg, ok := r.Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("wl: %w: %q (known: %s)",
+			ErrUnknownScheme, name, strings.Join(r.Names(), ", "))
+	}
+	s, err := reg.New(dev, seed)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("wl: building %s: %w", reg.Name, err)
 	}
 	return Compose(s, opts...)
 }

@@ -18,8 +18,10 @@ var (
 	// ErrDuplicateScheme reports a registration whose name or alias is
 	// already taken.
 	ErrDuplicateScheme = errors.New("scheme already registered")
-	// ErrBadConfig reports an invalid scheme or system configuration.
-	ErrBadConfig = errors.New("invalid configuration")
+	// ErrBadConfig reports an invalid scheme or system configuration. It is
+	// the device layer's sentinel, so pcm.NewDevice's endurance-width
+	// errors classify the same way as every scheme's.
+	ErrBadConfig = pcm.ErrBadConfig
 	// ErrCapacityExhausted reports that a lifetime run ended because the
 	// fault-tolerance layer ran out of capacity — the spare pool was
 	// exhausted or the retirement threshold was crossed — rather than at
@@ -136,25 +138,6 @@ func (r *Registry) Registrations() []Registration {
 	return out
 }
 
-// New builds the named scheme over dev. An unrecognized name wraps
-// ErrUnknownScheme; factory failures are wrapped with the canonical scheme
-// name.
-//
-// Deprecated: use Build, which additionally accepts functional options for
-// decorator composition. New is Build with no options.
-func (r *Registry) New(name string, dev *pcm.Device, seed uint64) (Scheme, error) {
-	reg, ok := r.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("wl: %w: %q (known: %s)",
-			ErrUnknownScheme, name, strings.Join(r.Names(), ", "))
-	}
-	s, err := reg.New(dev, seed)
-	if err != nil {
-		return nil, fmt.Errorf("wl: building %s: %w", reg.Name, err)
-	}
-	return s, nil
-}
-
 // Default is the process-wide registry. Every scheme package registers
 // itself here in init, so importing a scheme package (directly or through
 // the twl facade) makes it constructible by name.
@@ -164,14 +147,6 @@ var Default = NewRegistry()
 // registration happens in package init where a conflict is a programmer
 // error.
 func Register(reg Registration) { Default.MustAdd(reg) }
-
-// NewByName builds a scheme from the Default registry.
-//
-// Deprecated: use Build, which additionally accepts functional options for
-// decorator composition. NewByName is Build with no options.
-func NewByName(name string, dev *pcm.Device, seed uint64) (Scheme, error) {
-	return Default.New(name, dev, seed)
-}
 
 // Names lists the Default registry's canonical scheme names in display
 // order.

@@ -141,7 +141,7 @@ type Snapshotter interface {
 // MemoryReporter is implemented by schemes that can itemize the heap bytes
 // of their per-page metadata tables. The bench tools combine it with
 // pcm.Device.Footprint to report bytes-per-page for a whole stack, which is
-// how packed-table layouts prove their memory win.
+// how the BENCH reports audit each stack's memory.
 type MemoryReporter interface {
 	// TableBytes returns the total bytes of the scheme's per-page state
 	// (remap tables, counters, endurance copies); transient scratch space

@@ -14,37 +14,22 @@ import (
 	"twl/internal/wl"
 )
 
+// EffectivelyInfinite is the mean endurance of NewDevice: no conformance
+// run comes near wearing a page out, and at σ = 11% the largest page stays
+// more than 10σ below pcm.MaxEndurance (2^31).
+const EffectivelyInfinite = 1e9
+
 // NewDevice builds a test device with a Gaussian endurance map and
 // effectively infinite endurance (wear-out is exercised separately).
 func NewDevice(tb testing.TB, pages int, seed uint64) *pcm.Device {
 	tb.Helper()
-	return NewDeviceEndurance(tb, pages, 1e15, seed)
+	return NewDeviceEndurance(tb, pages, EffectivelyInfinite, seed)
 }
 
 // NewDeviceEndurance builds a test device with the given mean endurance.
 func NewDeviceEndurance(tb testing.TB, pages int, mean float64, seed uint64) *pcm.Device {
 	tb.Helper()
 	return NewSpareDevice(tb, pages, 0, mean, seed)
-}
-
-// NewPackedDeviceEndurance builds the packed-storage twin of
-// NewDeviceEndurance: identical geometry, timing and endurance map, uint32
-// device arrays. Differential tests pair the two to prove storage width
-// never leaks into results.
-func NewPackedDeviceEndurance(tb testing.TB, pages int, mean float64, seed uint64) *pcm.Device {
-	tb.Helper()
-	geom := pcm.Geometry{Pages: pages, PageSize: 4096, LineSize: 128, Ranks: 4, Banks: 32}
-	end, err := pv.Generate(pv.Config{
-		Pages: pages, Mean: mean, Sigma: 0.11 * mean, Model: pv.Gaussian, Seed: seed,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	dev, err := pcm.NewPackedDevice(geom, pcm.DefaultTiming(), end)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return dev
 }
 
 // NewSpareDevice builds a test device with spares spare pages behind the

@@ -205,7 +205,7 @@ func (s *Scheme) WriteSweep(la int, tag uint64, n int) (wl.Cost, int) {
 	buf := wl.Scratch(&s.scratch, k)
 	phys := s.rt.PhysTable()
 	for i := range buf {
-		buf[i] = phys[la+i]
+		buf[i] = int(phys[la+i])
 	}
 	applied := s.dev.WriteSeq(buf, tag)
 	s.stats.DemandWrites += uint64(applied)

@@ -126,12 +126,6 @@ type SystemConfig struct {
 	// retirement decorator (WithRetirement) remaps a failed page onto one.
 	// Typical provisioning is 2–5% of Pages.
 	SparePages int
-	// Packed selects compact device storage (uint32 wear counters, uint8
-	// inter-pair state) — half the bytes per page with bit-identical
-	// results. Requires MeanEndurance to leave headroom under the packed
-	// counter width; NewDevice validates. TWL additionally switches to its
-	// packed engine on a packed device (core.NewAuto).
-	Packed bool
 	// Seed drives the endurance map and every scheme RNG derived from it.
 	Seed uint64
 }
@@ -198,7 +192,9 @@ func (c SystemConfig) WithSpareFraction(frac float64) SystemConfig {
 	return c
 }
 
-// NewDevice builds the PCM device for the configuration.
+// NewDevice builds the PCM device for the configuration. The device stores
+// endurance as uint32, so a map with any page above 2^31 writes (a
+// MeanEndurance near or past 2e9) is an error wrapping ErrBadConfig.
 func (c SystemConfig) NewDevice() (*Device, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -222,9 +218,6 @@ func (c SystemConfig) NewDevice() (*Device, error) {
 		Ranks:      4,
 		Banks:      32,
 		SparePages: c.SparePages,
-	}
-	if c.Packed {
-		return pcm.NewPackedDevice(geom, pcm.DefaultTiming(), end)
 	}
 	return pcm.NewDevice(geom, pcm.DefaultTiming(), end)
 }
