@@ -1,8 +1,9 @@
 // Command twlsimd is the sharded simulation daemon: an HTTP service that
-// accepts experiment-grid jobs (scheme × attack/benchmark × seed), runs the
-// cells on a preemptible worker pool, streams per-cell progress as JSONL,
-// and dedupes identical cells through a content-addressed on-disk result
-// cache. Simulations are deterministic, so a cached cell is the cell.
+// accepts experiment-grid jobs (scheme × attack/benchmark × seed), runs them
+// in submission order on a preemptible worker pool, streams per-cell
+// progress as JSONL, and dedupes identical cells through a
+// content-addressed on-disk result cache. Simulations are deterministic, so
+// a cached cell is the cell.
 //
 //	twlsimd -data /var/lib/twlsimd &
 //	curl -d '{"schemes":["TWL_swp","BWL"],"attacks":["repeat","scan"]}' localhost:8080/jobs
@@ -30,11 +31,20 @@ import (
 	"twl/internal/serve"
 )
 
+// Connection limits: a client gets readHeaderTimeout to send its request
+// headers and an idle keep-alive connection closes after idleTimeout, so a
+// slow or stalled client cannot hold a connection open forever. Bodies and
+// responses are not time-limited — a job's trace stream may be long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr      = flag.String("addr", "localhost:8080", "listen address")
 		dataDir   = flag.String("data", "", "service state directory (jobs, result cache, checkpoints); required")
-		workers   = flag.Int("workers", 0, "simulation workers (0: GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "cells of a job simulated at once (0: GOMAXPROCS)")
 		ckptEvery = flag.Uint64("checkpoint-every", 0, "per-cell checkpoint cadence in demand writes (0: simulator default)")
 	)
 	flag.Parse()
@@ -53,7 +63,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Printf("twlsimd: serving on http://%s (state in %s)\n", *addr, *dataDir)

@@ -3,9 +3,11 @@ package twl
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"twl/internal/attack"
 	"twl/internal/core"
+	"twl/internal/exec"
 	"twl/internal/hwcost"
 	"twl/internal/pcm"
 	"twl/internal/sim"
@@ -203,12 +205,12 @@ func RunFig6(sys SystemConfig, cfg Fig6Config) (*Fig6Result, error) {
 	// All cells are independent simulations; run them in parallel and
 	// assemble deterministically afterwards.
 	grid := make([][]Fig6Cell, len(cfg.Schemes))
-	var tasks []cellTask
+	var tasks []exec.Task
 	for i, name := range cfg.Schemes {
 		grid[i] = make([]Fig6Cell, len(cfg.Modes))
 		for j, mode := range cfg.Modes {
 			i, j, name, mode := i, j, name, mode
-			tasks = append(tasks, cellTask{name: fmt.Sprintf("fig6/%s/%v", name, mode), run: func() error {
+			tasks = append(tasks, exec.Task{Name: fmt.Sprintf("fig6/%s/%v", name, mode), Run: func() error {
 				res, err := RunAttackCell(sys, name, mode, LifetimeConfig{})
 				if err != nil {
 					return fmt.Errorf("fig6 %s/%v: %w", name, mode, err)
@@ -224,9 +226,9 @@ func RunFig6(sys SystemConfig, cfg Fig6Config) (*Fig6Result, error) {
 			}})
 		}
 	}
-	if completed, err := runCells(cfg.Metrics, cfg.Trace, tasks); err != nil {
+	if completed, err := exec.Run(runtime.GOMAXPROCS(0), cfg.Metrics, cfg.Trace, nil, tasks); err != nil {
 		return nil, fmt.Errorf("twl: fig6 grid aborted with %d/%d cells done: %w",
-			countCompleted(completed), len(tasks), err)
+			exec.Count(completed), len(tasks), err)
 	}
 	for i, name := range cfg.Schemes {
 		out.Cells[name] = map[string]Fig6Cell{}
@@ -413,7 +415,7 @@ func RunFig8(sys SystemConfig, cfg Fig8Config) (*Fig8Result, error) {
 	// All cells are independent simulations; run them in parallel and
 	// assemble deterministically afterwards.
 	grid := make([][]float64, len(benchNames))
-	var tasks []cellTask
+	var tasks []exec.Task
 	for i, bn := range benchNames {
 		// Validate the name before queueing cells, so a typo fails the grid
 		// up front rather than mid-run.
@@ -423,7 +425,7 @@ func RunFig8(sys SystemConfig, cfg Fig8Config) (*Fig8Result, error) {
 		grid[i] = make([]float64, len(cfg.Schemes))
 		for j, name := range cfg.Schemes {
 			i, j, bn, name := i, j, bn, name
-			tasks = append(tasks, cellTask{name: fmt.Sprintf("fig8/%s/%s", bn, name), run: func() error {
+			tasks = append(tasks, exec.Task{Name: fmt.Sprintf("fig8/%s/%s", bn, name), Run: func() error {
 				res, err := RunBenchCell(sys, name, bn, LifetimeConfig{})
 				if err != nil {
 					return fmt.Errorf("fig8 %s/%s: %w", bn, name, err)
@@ -433,9 +435,9 @@ func RunFig8(sys SystemConfig, cfg Fig8Config) (*Fig8Result, error) {
 			}})
 		}
 	}
-	if completed, err := runCells(cfg.Metrics, cfg.Trace, tasks); err != nil {
+	if completed, err := exec.Run(runtime.GOMAXPROCS(0), cfg.Metrics, cfg.Trace, nil, tasks); err != nil {
 		return nil, fmt.Errorf("twl: fig8 grid aborted with %d/%d cells done: %w",
-			countCompleted(completed), len(tasks), err)
+			exec.Count(completed), len(tasks), err)
 	}
 	out := &Fig8Result{Mean: map[string]float64{}}
 	sums := map[string]float64{}

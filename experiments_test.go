@@ -2,6 +2,7 @@ package twl
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -331,5 +332,43 @@ func TestRunRetirementCapacityThreshold(t *testing.T) {
 	if res.Result.SparesUsed >= res.Result.SparePages {
 		t.Fatalf("spares used %d of %d; expected threshold to bind first",
 			res.Result.SparesUsed, res.Result.SparePages)
+	}
+}
+
+// TestGridErrorReportsPartialCount: the experiment entry points surface how
+// much of the grid ran before the abort.
+func TestGridErrorReportsPartialCount(t *testing.T) {
+	sys := SmallSystem(42)
+	_, err := RunFig6(sys, Fig6Config{
+		Schemes:              []string{"TWL_swp", "no-such-scheme"},
+		Modes:                []AttackMode{AttackRepeat},
+		BandwidthBytesPerSec: Fig6AttackBandwidth,
+	})
+	if err == nil {
+		t.Fatal("unknown scheme accepted")
+	}
+	if !strings.Contains(err.Error(), "cells done") {
+		t.Fatalf("grid error lacks partial-completion count: %v", err)
+	}
+}
+
+// TestAttackCellEverySchemeAndMode: every registered scheme survives every
+// attack mode through RunAttackCell. The random and scan attacks span the
+// whole device, so schemes that reserve spare pages (Start-Gap's gap, one
+// gap per RBSG region) see addresses past their logical end and must fold
+// them back rather than index out of range.
+func TestAttackCellEverySchemeAndMode(t *testing.T) {
+	sys := SmallSystem(1)
+	for _, name := range SchemeNames() {
+		for _, mode := range AttackModes() {
+			res, err := RunAttackCell(sys, name, mode, LifetimeConfig{MaxDemandWrites: 20000})
+			if err != nil {
+				t.Errorf("%s/%v: %v", name, mode, err)
+				continue
+			}
+			if res.DemandWrites == 0 {
+				t.Errorf("%s/%v: served no demand writes", name, mode)
+			}
+		}
 	}
 }

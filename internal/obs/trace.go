@@ -34,17 +34,17 @@ type Tracer struct {
 	err   error     //twl:guardedby mu
 }
 
-// DefaultTraceEvery is the progress cadence used when the caller passes
+// DefaultProgressEvery is the progress cadence used when the caller passes
 // every == 0: one event per 65536 requests keeps even multi-hour runs to a
 // few thousand lines.
-const DefaultTraceEvery = 1 << 16
+const DefaultProgressEvery = 1 << 16
 
 // NewTracer returns a tracer writing JSONL events to w, with progress
 // events requested every `every` units of work (0 selects
-// DefaultTraceEvery).
+// DefaultProgressEvery).
 func NewTracer(w io.Writer, every uint64) *Tracer {
 	if every == 0 {
-		every = DefaultTraceEvery
+		every = DefaultProgressEvery
 	}
 	return &Tracer{w: w, every: every}
 }

@@ -42,8 +42,8 @@ func TestTracerEmitsOrderedJSONL(t *testing.T) {
 
 func TestTracerDefaultCadence(t *testing.T) {
 	tr := NewTracer(&bytes.Buffer{}, 0)
-	if tr.Every() != DefaultTraceEvery {
-		t.Fatalf("Every = %d, want DefaultTraceEvery", tr.Every())
+	if tr.Every() != DefaultProgressEvery {
+		t.Fatalf("Every = %d, want DefaultProgressEvery", tr.Every())
 	}
 }
 

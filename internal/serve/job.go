@@ -35,9 +35,8 @@ type JobSpec struct {
 	SigmaFraction float64 `json:"sigma_fraction,omitempty"`
 
 	// Shards > 0 routes attack cells through the bank-sharded runner
-	// (Pages must divide evenly). Bench cells cannot shard — the runner
-	// rejects them with ErrUnshardableSource and the service falls back to
-	// the unsharded path automatically.
+	// (Pages must divide evenly). Bench cells cannot shard and always run
+	// unsharded.
 	Shards int `json:"shards,omitempty"`
 	// MaxDemandWrites caps each cell (0: the simulator default, 2 × total
 	// endurance).
@@ -47,8 +46,9 @@ type JobSpec struct {
 // dedupe drops later duplicates from a grid axis, preserving first-seen
 // order. Axes must be duplicate-free after canonicalization so one job
 // never expands to two cells with the same key — same-key cells share
-// checkpoint paths and may only ever run one at a time (the server
-// serializes them across jobs; within a job they must not exist at all).
+// checkpoint paths and may only ever run one at a time (jobs never overlap,
+// which serializes them across jobs; within a job they must not exist at
+// all).
 func dedupe[T comparable](in []T) []T {
 	seen := make(map[T]struct{}, len(in))
 	out := in[:0]
@@ -135,7 +135,7 @@ func (sp JobSpec) system(seed uint64) twl.SystemConfig {
 }
 
 // Cell statuses. pending → running → one of the terminal three; a preempted
-// running cell returns to pending and is re-enqueued on restart.
+// running cell returns to pending and runs again on restart.
 const (
 	cellPending   = "pending"
 	cellRunning   = "running"
@@ -328,7 +328,7 @@ type job struct {
 }
 
 // jobFile is the on-disk form of a job, written atomically on every state
-// change so a killed daemon reloads its queue on restart.
+// change so a killed daemon reloads its unfinished cells on restart.
 type jobFile struct {
 	ID        string  `json:"id"`
 	Spec      JobSpec `json:"spec"`

@@ -1,18 +1,18 @@
 // Package serve is the twlsimd simulation service: an HTTP front end that
 // accepts experiment-grid jobs (scheme × workload × seed), expands them
-// into independent cells, and executes the cells on a preemptible worker
-// pool. Three properties define it:
+// into independent cells, and executes the cells on the module's one cell
+// executor (internal/exec). Three properties define it:
 //
 //   - Content-addressed dedupe: every simulation here is deterministic, so
 //     a cell's result is a pure function of its construction inputs. Cells
 //     are keyed by a versioned hash of those inputs (see cellMaterial) and
 //     results live in an on-disk cache (internal/cache) — a resubmitted
 //     cell is served from disk with zero simulation writes. Same-key cells
-//     also never simulate concurrently: checkpoint paths are derived from
-//     the key, so the dispatcher holds a cell back while its key is in
-//     flight (Server.inflight) and the duplicate settles from the first
-//     run's cache entry instead of racing it. Within one job duplicates
-//     cannot exist at all — spec axes dedupe on submit.
+//     also never simulate concurrently, which matters because checkpoint
+//     paths are derived from the key: one runner takes jobs in submission
+//     order, so two jobs never overlap; within a job duplicates cannot
+//     exist at all (spec axes dedupe on submit); and across jobs the later
+//     cell settles from the earlier run's cache entry.
 //   - Preemption and resume: long cells checkpoint through internal/snap
 //     at the simulator's checkpoint cadence. Shutting the server down (or
 //     killing the daemon outright) loses at most one checkpoint interval;
@@ -23,9 +23,9 @@
 //     runners (RunFig6, RunFig8), so a grid computed through the service
 //     is the grid computed locally — the differential tests pin this.
 //
-// Job state and the cell queue are guarded by Server.mu (machine-checked
-// via //twl:guardedby); the drain flag is an atomic so simulation hot loops
-// poll it without taking the service lock.
+// Job state and the runner's cursor are guarded by Server.mu
+// (machine-checked via //twl:guardedby); the drain flag is an atomic so
+// simulation hot loops poll it without taking the service lock.
 package serve
 
 import (
@@ -40,6 +40,7 @@ import (
 
 	"twl"
 	"twl/internal/cache"
+	"twl/internal/exec"
 	"twl/internal/obs"
 	"twl/internal/snap"
 )
@@ -49,15 +50,13 @@ type Config struct {
 	// DataDir is the service state root: jobs/ (job state files), cache/
 	// (content-addressed results), ckpt/ (per-cell checkpoints). Required.
 	DataDir string
-	// Workers is the simulation worker count (0: GOMAXPROCS).
+	// Workers is the executor's worker count: how many of a job's cells
+	// simulate at once (0: GOMAXPROCS).
 	Workers int
 	// CheckpointEvery is the per-cell checkpoint cadence in demand writes
 	// (0: the simulator default). It is also the preemption latency: a
 	// draining worker stops at the next checkpoint boundary.
 	CheckpointEvery uint64
-	// TraceEvery is the per-job trace cadence passed to the job tracer (0:
-	// the obs default).
-	TraceEvery uint64
 }
 
 // ErrClosed is returned by Submit and Cancel after Close began draining.
@@ -66,13 +65,7 @@ var ErrClosed = errors.New("serve: server closed")
 // ErrNoJob is returned by lookups for an unknown job id.
 var ErrNoJob = errors.New("serve: no such job")
 
-// cellRef addresses one cell on the queue.
-type cellRef struct {
-	jobID string
-	idx   int
-}
-
-// Server owns the job table, the cell queue and the worker pool.
+// Server owns the job table and the job runner.
 type Server struct {
 	cfg     Config
 	reg     *obs.Registry
@@ -81,16 +74,13 @@ type Server struct {
 	ckptDir string
 
 	mu    sync.Mutex
-	cond  *sync.Cond      // signals queue growth, cell completion, shutdown; pairs with mu
-	queue []cellRef       //twl:guardedby mu
+	cond  *sync.Cond      // signals job submission and shutdown; pairs with mu
 	jobs  map[string]*job //twl:guardedby mu
 	order []string        //twl:guardedby mu
-	// inflight holds the keys of claimed cells. A cell whose key is here
-	// stays on the queue — its checkpoint paths (ckpt/<key>* ) have exactly
-	// one writer — until the running cell settles and broadcasts.
-	inflight map[string]struct{} //twl:guardedby mu
-	lastID   int                 //twl:guardedby mu
-	closed   bool                //twl:guardedby mu
+	// taken counts the jobs of order the runner has taken.
+	taken  int  //twl:guardedby mu
+	lastID int  //twl:guardedby mu
+	closed bool //twl:guardedby mu
 
 	draining atomic.Bool //twl:guardedby atomic
 	wg       sync.WaitGroup
@@ -110,9 +100,9 @@ const (
 )
 
 // New builds a server over cfg.DataDir — creating the layout, sweeping
-// checkpoint temp files orphaned by a killed predecessor, reloading
-// persisted jobs and re-enqueueing their incomplete cells — and starts the
-// worker pool. Callers must Close it to join the workers.
+// checkpoint temp files orphaned by a killed predecessor and reloading
+// persisted jobs, whose incomplete cells run again — and starts the job
+// runner. Callers must Close it to join the runner.
 func New(cfg Config) (*Server, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("serve: Config.DataDir is required")
@@ -128,7 +118,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	// A killed worker can leave a stale snap temp file next to a cell
-	// checkpoint; no writer is live before the pool starts, so sweep now.
+	// checkpoint; no writer is live before the runner starts, so sweep now.
 	// (Sharded cells keep per-cell subdirectories that the sharded runner
 	// sweeps itself on entry.)
 	if _, err := snap.SweepOrphans(ckptDir); err != nil {
@@ -153,7 +143,6 @@ func New(cfg Config) (*Server, error) {
 		jobsDir:      jobsDir,
 		ckptDir:      ckptDir,
 		jobs:         map[string]*job{},
-		inflight:     map[string]struct{}{},
 		jobsTotal:    reg.Counter("twl_serve_jobs_total"),
 		preemptions:  reg.Counter("twl_serve_preemptions_total"),
 		cellsRunning: reg.Gauge("twl_serve_cells_running"),
@@ -171,29 +160,20 @@ func New(cfg Config) (*Server, error) {
 	s.mu.Lock()
 	for _, j := range jobs {
 		j.trace = &obs.TraceBuffer{}
-		j.tracer = obs.NewTracer(j.trace, cfg.TraceEvery)
+		j.tracer = obs.NewTracer(j.trace, 0)
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
 		if n, ok := jobSeq(j.id); ok && n > s.lastID {
 			s.lastID = n
 		}
-		if !j.cancelled {
-			for i, c := range j.cells {
-				if c.Status == cellPending {
-					s.queue = append(s.queue, cellRef{jobID: j.id, idx: i})
-				}
-			}
-		}
 	}
 	s.mu.Unlock()
 
-	for w := 0; w < cfg.Workers; w++ {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.workerLoop()
-		}()
-	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.runJobs()
+	}()
 	return s, nil
 }
 
@@ -203,9 +183,10 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 // CacheStats exposes the result cache's hit/miss counters.
 func (s *Server) CacheStats() cache.Stats { return s.store.Stats() }
 
-// Close drains the service: in-flight cells stop at their next checkpoint
-// (writing a final one, so no work is lost), workers join, and the job
-// files record every preempted cell as pending for the next daemon.
+// Close drains the service: no further cell starts, in-flight cells stop
+// at their next checkpoint (writing a final one, so no work is lost), the
+// runner joins, and the job files record every preempted cell as pending
+// for the next daemon.
 func (s *Server) Close() error {
 	s.draining.Store(true)
 	s.mu.Lock()
@@ -216,7 +197,7 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// Submit validates, registers and enqueues one job, returning its
+// Submit validates and registers one job for the runner, returning its
 // deterministic id and cell count.
 func (s *Server) Submit(spec JobSpec) (id string, cells int, err error) {
 	if err := spec.normalize(); err != nil {
@@ -235,7 +216,7 @@ func (s *Server) Submit(spec JobSpec) (id string, cells int, err error) {
 		cells: list,
 		trace: &obs.TraceBuffer{},
 	}
-	j.tracer = obs.NewTracer(j.trace, s.cfg.TraceEvery)
+	j.tracer = obs.NewTracer(j.trace, 0)
 	// Persist before publishing: a job whose submission errored must not
 	// linger in memory and run anyway (the restart path would then also
 	// resurrect a job its submitter was told failed).
@@ -246,8 +227,7 @@ func (s *Server) Submit(spec JobSpec) (id string, cells int, err error) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.jobsTotal.Inc()
-	for i, c := range list {
-		s.queue = append(s.queue, cellRef{jobID: j.id, idx: i})
+	for _, c := range list {
 		j.tracer.Emit("cell_queued", obs.F("name", c.name()), obs.F("key", c.Key))
 	}
 	s.cond.Broadcast()
@@ -281,63 +261,77 @@ func (s *Server) Cancel(id string) error {
 	return persistJob(s.jobsDir, j)
 }
 
-// workerLoop pulls cells until the queue closes.
-func (s *Server) workerLoop() {
+// runJobs is the service's one runner: it takes jobs in submission order
+// and runs each to completion before the next, until the server closes.
+// Jobs therefore never overlap, so two same-key cells — which share
+// checkpoint paths — never simulate at once.
+func (s *Server) runJobs() {
 	for {
-		j, c, ok := s.nextCell()
+		j, ok := s.nextJob()
 		if !ok {
 			return
 		}
-		s.runCell(j, c)
+		s.runJob(j)
 	}
 }
 
-// nextCell blocks for the next runnable cell, marking it running and its
-// key in flight inside the same critical section so its status is never
-// observably "pending but claimed". Returns ok=false when the server is
-// draining.
-func (s *Server) nextCell() (*job, *cell, bool) {
+// nextJob blocks for the oldest job the runner has not taken yet; ok is
+// false once the server is closed.
+func (s *Server) nextJob() (*job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		// Closed means stop dispatching immediately, however long the queue
-		// is: unclaimed cells stay pending and their persisted status
-		// re-enqueues them on the next daemon's startup. (Draining only the
-		// in-flight cells bounds Close latency by one checkpoint interval,
-		// not by queue length.)
-		if s.closed {
-			return nil, nil, false
-		}
-		for i := 0; i < len(s.queue); {
-			ref := s.queue[i]
-			j := s.jobs[ref.jobID]
-			if j == nil || ref.idx >= len(j.cells) {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				continue
-			}
-			c := j.cells[ref.idx]
-			// Cancelled (or already-finished, after a duplicate enqueue)
-			// cells are settled elsewhere; drop stale refs.
-			if c.Status != cellPending || j.cancelled {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				continue
-			}
-			// A same-key cell (necessarily from another job) is mid-run and
-			// owns the key's checkpoint paths; leave this ref queued. The
-			// owning run's settlement broadcasts, and the cache probe then
-			// serves this cell from the completed result.
-			if _, busy := s.inflight[c.Key]; busy {
-				i++
-				continue
-			}
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			c.Status = cellRunning
-			s.inflight[c.Key] = struct{}{}
-			s.cellsRunning.Add(1)
-			return j, c, true
-		}
+	for !s.closed && s.taken == len(s.order) {
 		s.cond.Wait()
 	}
+	if s.closed {
+		return nil, false
+	}
+	j := s.jobs[s.order[s.taken]]
+	s.taken++
+	return j, true
+}
+
+// runJob runs the job's pending cells as one executor call on
+// Config.Workers workers. The stop hook (drain or cancel) ends the hand-out;
+// a cell the hook lets through is still claimed under the service lock, so
+// a cell never starts after Close or after a cancel settled it.
+func (s *Server) runJob(j *job) {
+	stop := s.stopHook(j)
+	var tasks []exec.Task
+	s.mu.Lock()
+	for _, c := range j.cells {
+		if c.Status != cellPending {
+			continue
+		}
+		tasks = append(tasks, exec.Task{Name: c.name(), Run: func() error {
+			if s.claim(j, c) {
+				s.runCell(j, c)
+			}
+			return nil
+		}})
+	}
+	s.mu.Unlock()
+	// Cell outcomes settle into the job state; no task reports an error.
+	_, _ = exec.Run(s.cfg.Workers, nil, nil, stop, tasks)
+}
+
+// claim marks a pending cell running, refusing once the server is closed
+// (the cell stays pending for the next daemon) or its job is cancelled.
+func (s *Server) claim(j *job, c *cell) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed || j.cancelled || c.Status != cellPending {
+		return false
+	}
+	c.Status = cellRunning
+	s.cellsRunning.Add(1)
+	return true
+}
+
+// stopHook is the preemption hook of a job's cells: the server is draining
+// or the job was cancelled.
+func (s *Server) stopHook(j *job) func() bool {
+	return func() bool { return s.draining.Load() || s.jobCancelled(j) }
 }
 
 // runCell executes one claimed cell end to end: cache probe, simulation
@@ -407,49 +401,39 @@ func (r cellResult) shards() int {
 
 // simulate runs the cell's simulation with preemption and checkpointing
 // wired in. Sharded specs route attack cells through the bank-sharded
-// runner; bench cells are rejected by it with ErrUnshardableSource and fall
-// back to the unsharded path — the service-level half of that contract.
+// runner; bench cells do not shard and always take the unsharded path.
 func (s *Server) simulate(j *job, c *cell) (cellResult, error) {
 	spec := j.spec
 	sys := spec.system(c.Seed)
-	stop := func() bool { return s.draining.Load() || s.jobCancelled(j) }
+	stop := s.stopHook(j)
 	kind, name := c.sourceKind()
 
-	if spec.Shards > 0 {
-		scfg := twl.ShardedConfig{
+	if spec.Shards > 0 && kind == "attack" {
+		mode, err := twl.ParseAttackMode(name)
+		if err != nil {
+			return cellResult{}, err
+		}
+		res, err := twl.RunShardedLifetime(sys, twl.ShardedConfig{
 			Scheme:          c.Scheme,
+			Mode:            mode,
 			Shards:          spec.Shards,
 			MaxDemandWrites: spec.MaxDemandWrites,
 			CheckpointDir:   filepath.Join(s.ckptDir, c.Key),
 			Resume:          true,
 			CheckpointEvery: s.cfg.CheckpointEvery,
 			Stop:            stop,
-		}
-		if kind == "attack" {
-			mode, err := twl.ParseAttackMode(name)
-			if err != nil {
-				return cellResult{}, err
-			}
-			scfg.Mode = mode
-		} else {
-			scfg.Bench = name
-		}
-		res, err := twl.RunShardedLifetime(sys, scfg)
-		switch {
-		case err == nil:
-			out := fromLifetime(res.LifetimeResult)
-			out.Sharded = &shardedInfo{
-				Shards:      res.Shards,
-				ShardPages:  res.ShardPages,
-				FailedShard: res.FailedShard,
-				ShardDemand: res.ShardDemand,
-			}
-			return out, nil
-		case errors.Is(err, twl.ErrUnshardableSource):
-			// Fall through to the unsharded path below.
-		default:
+		})
+		if err != nil {
 			return cellResult{}, err
 		}
+		out := fromLifetime(res.LifetimeResult)
+		out.Sharded = &shardedInfo{
+			Shards:      res.Shards,
+			ShardPages:  res.ShardPages,
+			FailedShard: res.FailedShard,
+			ShardDemand: res.ShardDemand,
+		}
+		return out, nil
 	}
 
 	ckpt := filepath.Join(s.ckptDir, c.Key+".ckpt")
@@ -506,10 +490,6 @@ func (s *Server) finishCell(j *job, c *cell, res *cellResult, cached bool, err e
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.cellsRunning.Add(-1)
-	// The key's checkpoint paths are free again; wake workers that may be
-	// holding a same-key duplicate back.
-	delete(s.inflight, c.Key)
-	s.cond.Broadcast()
 	outcome := outcomeSimulated
 	switch {
 	case err == nil && cached:
@@ -550,25 +530,20 @@ func (s *Server) finishCell(j *job, c *cell, res *cellResult, cached bool, err e
 }
 
 // requeueCell returns a drain-preempted cell to pending. The server is
-// closing, so the cell is not pushed back on the live queue; the persisted
-// pending status re-enqueues it on the next daemon's startup. A cancel that
-// raced in after the stop poll settles the cell as cancelled instead.
+// closing, so the cell does not run again here; its persisted pending
+// status runs it on the next daemon's startup. A cancel that raced in after
+// the stop poll settles the cell as cancelled instead.
 func (s *Server) requeueCell(j *job, c *cell) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.cellsRunning.Add(-1)
-	delete(s.inflight, c.Key)
-	s.cond.Broadcast()
 	if j.cancelled {
 		c.Status = cellCancelled
 		s.outcomes[outcomeCancelled].Inc()
-		if perr := persistJob(s.jobsDir, j); perr != nil {
-			j.tracer.Emit("persist_error", obs.F("err", perr.Error()))
-		}
-		return
+	} else {
+		c.Status = cellPending
+		j.tracer.Emit("cell_preempted", obs.F("name", c.name()), obs.F("key", c.Key))
 	}
-	c.Status = cellPending
-	j.tracer.Emit("cell_preempted", obs.F("name", c.name()), obs.F("key", c.Key))
 	if perr := persistJob(s.jobsDir, j); perr != nil {
 		j.tracer.Emit("persist_error", obs.F("err", perr.Error()))
 	}

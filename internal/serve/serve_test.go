@@ -300,9 +300,7 @@ func TestCacheHitOnResubmit(t *testing.T) {
 // TestDifferentialGrid: a grid run through the service is byte-identical
 // to the same cells run directly through the one-shot entry points
 // (RunAttackCell / RunBenchCell) — the service adds checkpointing and
-// preemption wiring but must not change a single counter. Shards is set so
-// the bench cell also exercises the typed-rejection fallback
-// (ErrUnshardableSource → unsharded path).
+// preemption wiring but must not change a single counter.
 func TestDifferentialGrid(t *testing.T) {
 	spec := JobSpec{
 		Schemes:       []string{"TWL_swp", "BWL"},
@@ -346,11 +344,13 @@ func TestDifferentialGrid(t *testing.T) {
 }
 
 // TestShardedDifferential: a sharded cell through the service equals
-// twl.RunShardedLifetime run directly.
+// twl.RunShardedLifetime run directly, and a bench cell of a sharded spec
+// falls back to the unsharded runner.
 func TestShardedDifferential(t *testing.T) {
 	spec := JobSpec{
 		Schemes:       []string{"TWL_swp"},
 		Attacks:       []string{"inconsistent"},
+		Benches:       []string{"vips"},
 		Pages:         256,
 		MeanEndurance: 3000,
 		Shards:        4,
@@ -361,13 +361,23 @@ func TestShardedDifferential(t *testing.T) {
 	defer ts.Close()
 
 	st := submitAndWait(t, ts, spec)
+	sys := twl.SystemConfig{Pages: 256, PageSize: 4096, MeanEndurance: 3000, SigmaFraction: 0.11, Seed: 1}
+	bench := st.Cells[1]
+	if bench.Source != "bench:vips" || bench.Result.Sharded != nil {
+		t.Fatalf("bench cell %s did not fall back to the unsharded path: %+v", bench.Source, bench.Result)
+	}
+	wantBench, err := twl.RunBenchCell(sys, "TWL_swp", "vips", twl.LifetimeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bench.Result.toLifetime(); got != wantBench {
+		t.Errorf("bench service result diverged:\n  service %+v\n  direct  %+v", got, wantBench)
+	}
 	c := st.Cells[0]
 	if c.Result.Sharded == nil || c.Result.Sharded.Shards != 4 {
 		t.Fatalf("cell did not run sharded: %+v", c.Result)
 	}
-	want, err := twl.RunShardedLifetime(twl.SystemConfig{
-		Pages: 256, PageSize: 4096, MeanEndurance: 3000, SigmaFraction: 0.11, Seed: 1,
-	}, twl.ShardedConfig{Scheme: "TWL_swp", Mode: twl.AttackInconsistent, Shards: 4})
+	want, err := twl.RunShardedLifetime(sys, twl.ShardedConfig{Scheme: "TWL_swp", Mode: twl.AttackInconsistent, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,14 +590,14 @@ func TestSpecDedupe(t *testing.T) {
 	}
 }
 
-// TestConcurrentSameKeyJobs: two identical grids in flight at once never
-// simulate a key twice or trip over its shared checkpoint paths — the
-// duplicate cell is held back while the key is in flight and then settles
-// from the first run's cache entry. (Before the in-flight ledger both
-// copies ran against ckpt/<key>, and the first completion's checkpoint
-// removal aborted the survivor's next checkpoint write.) Sharded cells are
-// the worst case: the second run's orphan sweep also deleted the first
-// run's live temp files.
+// TestConcurrentSameKeyJobs: two identical grids submitted back to back
+// never simulate a key twice or trip over its shared checkpoint paths —
+// jobs run in submission order without overlapping, so the second job's
+// cells settle from the first run's cache entries. (When both copies once
+// ran against ckpt/<key> at the same time, the first completion's
+// checkpoint removal aborted the survivor's next checkpoint write.) Sharded
+// cells are the worst case: the second run's orphan sweep also deleted the
+// first run's live temp files.
 func TestConcurrentSameKeyJobs(t *testing.T) {
 	srv := newTestServer(t, t.TempDir(), 4)
 	defer srv.Close()
@@ -637,7 +647,7 @@ func TestConcurrentSameKeyJobs(t *testing.T) {
 
 // TestSubmitPersistFailure: a submission whose job file cannot be written
 // reports the error and leaves no trace — nothing registered, nothing
-// queued, the id counter unspent — so the service never runs a job its
+// runnable, the id counter unspent — so the service never runs a job its
 // submitter was told failed.
 func TestSubmitPersistFailure(t *testing.T) {
 	srv := newTestServer(t, t.TempDir(), 1)
@@ -655,10 +665,10 @@ func TestSubmitPersistFailure(t *testing.T) {
 		t.Fatal("submit with unwritable jobs dir reported success")
 	}
 	srv.mu.Lock()
-	jobs, queued, last := len(srv.jobs), len(srv.queue), srv.lastID
+	jobs, runnable, last := len(srv.jobs), len(srv.order), srv.lastID
 	srv.mu.Unlock()
-	if jobs != 0 || queued != 0 || last != 0 {
-		t.Fatalf("failed submit left state behind: jobs=%d queue=%d lastID=%d", jobs, queued, last)
+	if jobs != 0 || runnable != 0 || last != 0 {
+		t.Fatalf("failed submit left state behind: jobs=%d runnable=%d lastID=%d", jobs, runnable, last)
 	}
 	// Restore the directory: the next submission takes the first id.
 	if err := os.Remove(srv.jobsDir); err != nil {
@@ -712,9 +722,9 @@ func TestFailedCellRemovesCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCloseStopsDispatch: after Close no queued cell is handed to a worker
-// — drain latency is bounded by the in-flight cells' checkpoint cadence,
-// not by queue length.
+// TestCloseStopsDispatch: after Close the runner takes no job and no
+// pending cell starts — drain latency is bounded by the in-flight cells'
+// checkpoint cadence, not by the number of pending cells.
 func TestCloseStopsDispatch(t *testing.T) {
 	srv := newTestServer(t, t.TempDir(), 1)
 	if err := srv.Close(); err != nil {
@@ -724,16 +734,91 @@ func TestCloseStopsDispatch(t *testing.T) {
 	if err := spec.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	j := &job{id: "test", spec: spec, cells: buildCells(spec)}
+	j := &job{id: "test", spec: spec, cells: buildCells(spec), trace: &obs.TraceBuffer{}}
+	j.tracer = obs.NewTracer(j.trace, 0)
 	srv.mu.Lock()
 	srv.jobs[j.id] = j
-	srv.queue = append(srv.queue, cellRef{jobID: j.id, idx: 0})
+	srv.order = append(srv.order, j.id)
 	srv.mu.Unlock()
-	if _, _, ok := srv.nextCell(); ok {
-		t.Fatal("nextCell dispatched a queued cell after Close")
+	if _, ok := srv.nextJob(); ok {
+		t.Fatal("the runner took a job after Close")
 	}
-	if got := j.cells[0].Status; got != cellPending {
-		t.Errorf("queued cell status %q after closed dispatch, want pending", got)
+	srv.runJob(j)
+	// The executor's stop poll and the claim can interleave; the claim
+	// alone must refuse too.
+	if srv.claim(j, j.cells[0]) {
+		t.Fatal("claim accepted a pending cell after Close")
+	}
+	for _, c := range j.cells {
+		if c.Status != cellPending {
+			t.Errorf("cell %s status %q after a closed dispatch, want pending", c.name(), c.Status)
+		}
+	}
+}
+
+// TestJobsRunInOrder: never more than Workers cells run at once, and jobs
+// settle in submission order — no cell of a job starts while an earlier
+// job still has a pending or running cell.
+func TestJobsRunInOrder(t *testing.T) {
+	const workers = 2
+	srv := newTestServer(t, t.TempDir(), workers)
+	defer srv.Close()
+	var ids []string
+	for seed := uint64(1); seed <= 3; seed++ {
+		spec := testSpec()
+		spec.Seeds = []uint64{seed, seed + 10}
+		id, _, err := srv.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		running, live := 0, 0
+		problem := ""
+		srv.mu.Lock()
+		for _, id := range ids {
+			earlierLive := live
+			started := false
+			for _, c := range srv.jobs[id].cells {
+				switch c.Status {
+				case cellRunning:
+					running++
+					live++
+					started = true
+				case cellPending:
+					live++
+				default:
+					started = true
+				}
+			}
+			if started && earlierLive > 0 && problem == "" {
+				problem = fmt.Sprintf("job %s started while an earlier job had live cells", id)
+			}
+		}
+		srv.mu.Unlock()
+		if running > workers {
+			t.Fatalf("%d cells running at once, want at most %d", running, workers)
+		}
+		if problem != "" {
+			t.Fatal(problem)
+		}
+		if live == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("jobs did not settle before the deadline")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	for _, id := range ids {
+		srv.mu.Lock()
+		state := jobState(srv.jobs[id])
+		srv.mu.Unlock()
+		if state != cellDone {
+			t.Errorf("job %s finished %q, want done", id, state)
+		}
 	}
 }
 

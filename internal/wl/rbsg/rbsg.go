@@ -188,6 +188,16 @@ func (s *Scheme) LogicalPages() int { return s.cfg.Regions * s.logicalPerRegion 
 // Name implements wl.Scheme.
 func (s *Scheme) Name() string { return "RBSG" }
 
+// fold maps an address past the logical end (a device-wide workload sees
+// the gap pages too) back into the logical space, as StartGap's randomizer
+// does with its modulus; in-range addresses pass through unchanged.
+func (s *Scheme) fold(la int) int {
+	if n := s.LogicalPages(); la >= n {
+		return la % n
+	}
+	return la
+}
+
 // locate splits a logical address into region and local randomized slot.
 func (s *Scheme) locate(la int) (*region, int) {
 	ri := la / s.logicalPerRegion
@@ -211,6 +221,7 @@ func (s *Scheme) interval() int {
 // Write implements wl.Scheme.
 func (s *Scheme) Write(la int, tag uint64) wl.Cost {
 	cost := wl.Cost{ExtraCycles: wl.ControlCycles + wl.TableCycles}
+	la = s.fold(la)
 	s.det.Observe(la)
 	r, slot := s.locate(la)
 	localLA := r.base + slot // region-local logical index into rt
@@ -276,6 +287,7 @@ func (s *Scheme) globalHorizon(n int) int {
 //
 //twl:hotpath
 func (s *Scheme) WriteRun(la int, tag uint64, n int) (wl.Cost, int) {
+	la = s.fold(la)
 	k := s.globalHorizon(n)
 	r, slot := s.locate(la)
 	if h := s.interval() - r.sinceMove - 1; h < k {
@@ -301,10 +313,15 @@ func (s *Scheme) WriteRun(la int, tag uint64, n int) (wl.Cost, int) {
 // mapping bijection keeps the batch's pages distinct, so the clamp point is
 // exact). Each touched region contributes its own gap-move horizon: the
 // sweep visits a region's addresses consecutively, so the region's write
-// count is its overlap with the absorbed prefix.
+// count is its overlap with the absorbed prefix. A sweep stops at the
+// logical end; the caller's next sweep starts past it and folds to 0.
 //
 //twl:hotpath
 func (s *Scheme) WriteSweep(la int, tag uint64, n int) (wl.Cost, int) {
+	la = s.fold(la)
+	if end := s.LogicalPages() - la; end < n {
+		n = end
+	}
 	k := s.globalHorizon(n)
 	iv := s.interval()
 	lpr := s.logicalPerRegion
@@ -406,7 +423,7 @@ func (s *Scheme) moveGap(r *region) wl.Cost {
 // Read implements wl.Scheme.
 func (s *Scheme) Read(la int) (uint64, wl.Cost) {
 	s.stats.DemandReads++
-	r, slot := s.locate(la)
+	r, slot := s.locate(s.fold(la))
 	pa := s.rt.Phys(r.base + slot)
 	return s.dev.Read(pa), wl.Cost{DeviceReads: 1, ExtraCycles: wl.TableCycles}
 }

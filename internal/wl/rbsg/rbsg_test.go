@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"twl/internal/attack"
+	"twl/internal/sim"
 	"twl/internal/trace"
 	"twl/internal/wl"
 	"twl/internal/wl/wltest"
@@ -141,5 +142,38 @@ func TestRegionsContainRotation(t *testing.T) {
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFullDeviceAttacksBulkMatchesPerWrite: the random and scan attacks
+// address the whole device, past the logical end (each region's gap page is
+// not demand-addressable). The scheme folds those addresses back into its
+// logical space, and a lifetime run through the bulk paths must stay
+// bit-identical to the per-write path.
+func TestFullDeviceAttacksBulkMatchesPerWrite(t *testing.T) {
+	for _, mode := range []attack.Mode{attack.Random, attack.Scan} {
+		t.Run(mode.String(), func(t *testing.T) {
+			run := func(perWrite bool) (sim.LifetimeResult, *Scheme) {
+				s := fuzzScheme(t, 100, 17, 3)
+				st, err := attack.New(attack.DefaultConfig(mode, s.dev.Pages(), 11))
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := sim.RunLifetime(s, sim.FromAttack(st), sim.LifetimeConfig{DisableFastForward: perWrite})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, s
+			}
+			slowRes, slow := run(true)
+			fastRes, fast := run(false)
+			if slowRes.Capped || slowRes.DemandWrites == 0 {
+				t.Fatalf("per-write run did not reach a failure: %+v", slowRes)
+			}
+			if fastRes != slowRes {
+				t.Errorf("lifetime result differs:\nfast: %+v\nslow: %+v", fastRes, slowRes)
+			}
+			compareSchemes(t, fast, slow)
+		})
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 
 	"twl/internal/attack"
+	"twl/internal/exec"
 	"twl/internal/pcm"
 	"twl/internal/pv"
 	"twl/internal/sim"
@@ -40,16 +42,10 @@ type ShardedConfig struct {
 	Scheme string
 	// Mode is the attack driven at every shard (each shard gets its own
 	// stream over its own logical space, seeded per shard — the
-	// bank-interleaved view of a device-wide attack).
+	// bank-interleaved view of a device-wide attack). Only attack sources
+	// shard: a benchmark trace's address statistics are not
+	// interleave-invariant, so bench cells run unsharded (RunBenchCell).
 	Mode AttackMode
-	// Bench, when non-empty, names a benchmark trace workload instead of an
-	// attack. Trace sources do not factor across bank groups (their address
-	// statistics are not interleave-invariant), so RunShardedLifetime
-	// rejects such configs with ErrUnshardableSource; callers route them to
-	// the unsharded path (RunBenchCell). The field exists so grid
-	// schedulers can submit every cell through one config type and branch
-	// on the typed error instead of guessing.
-	Bench string
 	// Shards is the number of independent bank groups; 0 uses the full
 	// geometry's Ranks × Banks (= 128). SystemConfig.Pages must divide
 	// evenly by it.
@@ -195,10 +191,6 @@ func RunShardedLifetime(sys SystemConfig, cfg ShardedConfig) (*ShardedResult, er
 		return nil, fmt.Errorf("twl: %w: sharded runs do not support spare pages (got %d)",
 			ErrBadConfig, sys.SparePages)
 	}
-	if cfg.Bench != "" {
-		return nil, fmt.Errorf("%w: benchmark workload %q must run unsharded (RunBenchCell)",
-			ErrUnshardableSource, cfg.Bench)
-	}
 	shards := cfg.Shards
 	if shards == 0 {
 		full := pcm.DefaultGeometry()
@@ -249,7 +241,7 @@ func RunShardedLifetime(sys SystemConfig, cfg ShardedConfig) (*ShardedResult, er
 	// Phase 1 — scout: every shard runs to its local first failure (or its
 	// share of the global cap).
 	scout := make([]LifetimeResult, shards)
-	var tasks []cellTask
+	var tasks []exec.Task
 	for i := 0; i < shards; i++ {
 		i := i
 		cap := sim.ShardRequests(globalCap, i, shards)
@@ -257,7 +249,7 @@ func RunShardedLifetime(sys SystemConfig, cfg ShardedConfig) (*ShardedResult, er
 			scout[i] = skippedShard("")
 			continue
 		}
-		tasks = append(tasks, cellTask{name: fmt.Sprintf("shard/%d/scout", i), run: func() error {
+		tasks = append(tasks, exec.Task{Name: fmt.Sprintf("shard/%d/scout", i), Run: func() error {
 			res, err := r.runShard(i, cap, "scout")
 			if err != nil {
 				return err
@@ -266,14 +258,14 @@ func RunShardedLifetime(sys SystemConfig, cfg ShardedConfig) (*ShardedResult, er
 			return nil
 		}})
 	}
-	completed, err := runCellsStop(cfg.Metrics, cfg.Trace, cfg.Stop, tasks)
+	completed, err := exec.Run(runtime.GOMAXPROCS(0), cfg.Metrics, cfg.Trace, cfg.Stop, tasks)
 	if err != nil {
 		return nil, fmt.Errorf("twl: sharded scout aborted with %d/%d shards done: %w",
-			countCompleted(completed), len(tasks), err)
+			exec.Count(completed), len(tasks), err)
 	}
 	// A nil error with an incomplete mask means the preemption hook stopped
 	// the dispatcher before every shard ran.
-	if n := countCompleted(completed); n != len(tasks) {
+	if n := exec.Count(completed); n != len(tasks) {
 		return nil, fmt.Errorf("twl: sharded scout preempted with %d/%d shards done: %w",
 			n, len(tasks), ErrRunStopped)
 	}
@@ -317,7 +309,7 @@ func RunShardedLifetime(sys SystemConfig, cfg ShardedConfig) (*ShardedResult, er
 				exact[i] = skippedShard(scout[winner].Scheme)
 				continue
 			}
-			tasks = append(tasks, cellTask{name: fmt.Sprintf("shard/%d/exact", i), run: func() error {
+			tasks = append(tasks, exec.Task{Name: fmt.Sprintf("shard/%d/exact", i), Run: func() error {
 				res, err := r.runShard(i, quota, "exact")
 				if err != nil {
 					return err
@@ -335,12 +327,12 @@ func RunShardedLifetime(sys SystemConfig, cfg ShardedConfig) (*ShardedResult, er
 				return nil
 			}})
 		}
-		completed, err := runCellsStop(cfg.Metrics, cfg.Trace, cfg.Stop, tasks)
+		completed, err := exec.Run(runtime.GOMAXPROCS(0), cfg.Metrics, cfg.Trace, cfg.Stop, tasks)
 		if err != nil {
 			return nil, fmt.Errorf("twl: sharded exact phase aborted with %d/%d shards done: %w",
-				countCompleted(completed), len(tasks), err)
+				exec.Count(completed), len(tasks), err)
 		}
-		if n := countCompleted(completed); n != len(tasks) {
+		if n := exec.Count(completed); n != len(tasks) {
 			return nil, fmt.Errorf("twl: sharded exact phase preempted with %d/%d shards done: %w",
 				n, len(tasks), ErrRunStopped)
 		}

@@ -19,7 +19,6 @@
 package twl
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -242,14 +241,6 @@ var (
 	ErrRunStopped = sim.ErrRunStopped
 )
 
-// ErrUnshardableSource is wrapped by RunShardedLifetime when the configured
-// request source cannot be sharded across bank groups — today, benchmark
-// trace sources (ShardedConfig.Bench): the bank-interleaved factoring only
-// holds for the attack streams, whose per-shard statistics are the
-// device-wide attack's. Callers route such cells to the unsharded path
-// (RunBenchCell) on errors.Is.
-var ErrUnshardableSource = errors.New("twl: source cannot be sharded")
-
 // SchemeNames lists the scheme identifiers accepted by NewScheme, in the
 // order the paper's figures present them. The list is derived from the
 // scheme registry (internal/wl), so it is always in sync with what
@@ -421,7 +412,7 @@ func NewMetrics() *MetricsRegistry { return obs.NewRegistry() }
 func MetricLabel(key, value string) obs.Label { return obs.L(key, value) }
 
 // NewRunTracer returns a tracer writing JSON lines to w, emitting one
-// progress event every `every` demand writes (0 uses obs.DefaultTraceEvery).
+// progress event every `every` demand writes (0 uses obs.DefaultProgressEvery).
 func NewRunTracer(w io.Writer, every uint64) *Tracer { return obs.NewTracer(w, every) }
 
 // Instrument wraps a scheme so every Write/Read updates per-scheme request,
