@@ -1,10 +1,11 @@
 # Tier-1 verification (referenced from ROADMAP.md): formatting, static
-# analysis (go vet plus the project's own twlint suite), build, the full
-# race-enabled test suite and a single-iteration benchmark smoke (catches
-# bit-rot in the hot-loop benchmarks without spending benchmark time).
-.PHONY: check fmt vet lint budget build test bench benchsmoke bigbench bigbenchsmoke fuzzsmoke servesmoke racestress
+# analysis (go vet plus the project's own twlint suite), build, vet of the
+# nested perfbench module, the full race-enabled test suite and a
+# single-iteration benchmark smoke (catches bit-rot in the hot-loop
+# benchmarks without spending benchmark time).
+.PHONY: check fmt vet perfvet lint budget build test bench benchsmoke bigbench bigbenchsmoke fuzzsmoke servesmoke racestress
 
-check: fmt vet lint build test benchsmoke
+check: fmt vet perfvet lint build test benchsmoke
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -14,6 +15,12 @@ fmt:
 
 vet:
 	go vet ./...
+
+# perfbench is a nested module (its own go.mod, replace-d onto this one), so
+# the root ./... patterns never compile it; vet it separately to catch
+# internal API changes that would break the benchmark harness.
+perfvet:
+	cd perfbench && go vet ./...
 
 # Project-specific static contracts (determinism, registry, cost accounting,
 # locks/atomics, concurrency discipline, hotpath allocation budget) — see

@@ -6,14 +6,14 @@
 // verified to produce identical results before a ratio is reported.
 //
 // The grid enumerates every registered scheme (twl.SchemeNames), so a new
-// scheme lands in the benchmark without touching this tool, and the tool
-// fails if a scheme implementing the fast-path interfaces is excluded from
-// the grid — the benchmark trajectory must not silently lose coverage.
+// scheme lands in the benchmark without touching this tool. Every scheme
+// implements both bulk writers (wl.Scheme is the whole contract), so a
+// cell's fast_path flag depends on the attack alone: the random attack has
+// no run structure to absorb.
 //
 // The grid covers the repeat and scan attacks plus the paper's inconsistent
 // attack, whose feedback-driven stream is bulk-capable between detected-swap
-// events (the random attack has no run structure to absorb, so it stays off
-// the grid; fast_path_coverage still reports it).
+// events (the random attack stays off the grid).
 //
 // The report also audits memory: for every scheme, the simulated
 // controller's bytes per page (scheme metadata tables plus device state
@@ -40,36 +40,14 @@ import (
 	"twl/internal/clock"
 )
 
-// runWriter / sweepWriter mirror the internal fast-forward interfaces
-// structurally (twl.Cost aliases the internal cost type), so the tool can
-// report which schemes actually take the fast path.
-type runWriter interface {
-	WriteRun(la int, tag uint64, n int) (twl.Cost, int)
-}
-
-type sweepWriter interface {
-	WriteSweep(la int, tag uint64, n int) (twl.Cost, int)
-}
-
 type result struct {
 	Scheme       string  `json:"scheme"`
 	Attack       string  `json:"attack"`
-	FastPath     bool    `json:"fast_path"`
+	FastPath     bool    `json:"fast_path"` // the attack emits runs or sweeps (every attack but random)
 	DemandWrites uint64  `json:"demand_writes"`
 	PerWriteNs   float64 `json:"perwrite_ns_per_write"`
 	FastNs       float64 `json:"fast_ns_per_write"`
 	Speedup      float64 `json:"speedup"`
-}
-
-// coverage reports which fast-path interfaces a scheme implements and which
-// of the four attacks its lifetime runs can absorb through the bulk loop:
-// repeat and inconsistent ride the RunWriter interface (the inconsistent
-// stream emits deterministic stretches between feedback events), scan rides
-// SweepWriter, and random has no run structure to absorb.
-type coverage struct {
-	Run     bool            `json:"run"`
-	Sweep   bool            `json:"sweep"`
-	Attacks map[string]bool `json:"attacks"`
 }
 
 // footprint is the per-scheme memory audit: total simulated-controller
@@ -91,7 +69,6 @@ type report struct {
 		Seed          uint64  `json:"seed"`
 	} `json:"system"`
 	Reps      int                  `json:"reps"`
-	Coverage  map[string]coverage  `json:"fast_path_coverage"`
 	Footprint map[string]footprint `json:"footprint_bytes_per_page"`
 	Results   []result             `json:"results"`
 	Geomean   map[string]float64   `json:"geomean_speedup_fast_path_schemes"`
@@ -121,18 +98,10 @@ func main() {
 	rep.System.SigmaFraction = sys.SigmaFraction
 	rep.System.Seed = sys.Seed
 	rep.Reps = *reps
-	rep.Coverage = map[string]coverage{}
 	rep.Footprint = map[string]footprint{}
 	rep.Geomean = map[string]float64{}
 
-	benched := map[string]bool{}
 	for _, name := range names {
-		cov, err := probeCoverage(sys, name, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchff: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		rep.Coverage[name] = cov
 		fp, err := probeFootprint(sys, name, *seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchff: %s: %v\n", name, err)
@@ -140,7 +109,6 @@ func main() {
 		}
 		rep.Footprint[name] = fp
 		fmt.Printf("%-10s footprint %7.1f B/page\n", name, fp.BytesPerPage)
-		benched[name] = true
 	}
 
 	modes := []struct {
@@ -153,7 +121,7 @@ func main() {
 	}
 
 	for _, m := range modes {
-		logSum, logN := 0.0, 0
+		logSum := 0.0
 		for _, name := range names {
 			r, err := measure(sys, name, m.name, m.mode, *reps, *seed)
 			if err != nil {
@@ -161,41 +129,15 @@ func main() {
 				os.Exit(1)
 			}
 			rep.Results = append(rep.Results, r)
-			fmt.Printf("%-8s %-10s fast %8.2f ns/write   perwrite %8.2f ns/write   speedup %5.2fx%s\n",
-				m.name, name, r.FastNs, r.PerWriteNs, r.Speedup,
-				map[bool]string{true: "", false: "   (per-write fallback)"}[r.FastPath])
-			if r.FastPath {
-				logSum += math.Log(r.Speedup)
-				logN++
-			}
+			fmt.Printf("%-8s %-10s fast %8.2f ns/write   perwrite %8.2f ns/write   speedup %5.2fx\n",
+				m.name, name, r.FastNs, r.PerWriteNs, r.Speedup)
+			logSum += math.Log(r.Speedup)
 		}
-		if logN > 0 {
-			g := math.Exp(logSum / float64(logN))
+		if len(names) > 0 {
+			g := math.Exp(logSum / float64(len(names)))
 			rep.Geomean[m.name] = math.Round(g*100) / 100
-			fmt.Printf("%-8s geomean over fast-path schemes: %.2fx\n", m.name, g)
+			fmt.Printf("%-8s geomean over schemes: %.2fx\n", m.name, g)
 		}
-	}
-
-	// The benchmark grid must cover every scheme with a fast path: a
-	// RunWriter scheme missing from the grid means the trajectory silently
-	// stops tracking a path this repo optimized.
-	missing := false
-	for _, name := range twl.SchemeNames() {
-		if benched[name] {
-			continue
-		}
-		cov, err := probeCoverage(sys, name, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchff: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		if cov.Run || cov.Sweep {
-			fmt.Fprintf(os.Stderr, "benchff: scheme %s implements the fast path but is not in the benchmark grid\n", name)
-			missing = true
-		}
-	}
-	if missing {
-		os.Exit(1)
 	}
 
 	if *out != "" {
@@ -211,29 +153,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *out)
 	}
-}
-
-// probeCoverage instantiates a scheme once to see which fast-path
-// interfaces it implements.
-func probeCoverage(sys twl.SystemConfig, scheme string, seed uint64) (coverage, error) {
-	dev, err := sys.NewDevice()
-	if err != nil {
-		return coverage{}, err
-	}
-	s, err := twl.NewScheme(scheme, dev, seed)
-	if err != nil {
-		return coverage{}, err
-	}
-	var cov coverage
-	_, cov.Run = s.(runWriter)
-	_, cov.Sweep = s.(sweepWriter)
-	cov.Attacks = map[string]bool{
-		"repeat":       cov.Run,
-		"random":       false,
-		"scan":         cov.Sweep,
-		"inconsistent": cov.Run,
-	}
-	return cov, nil
 }
 
 // stackBytes builds the scheme over a fresh device and sums its reported
@@ -270,13 +189,14 @@ func measure(sys twl.SystemConfig, scheme, modeName string, mode twl.AttackMode,
 	var r result
 	r.Scheme = scheme
 	r.Attack = modeName
+	r.FastPath = mode != twl.AttackRandom
 
 	bestFast := time.Duration(math.MaxInt64)
 	bestSlow := time.Duration(math.MaxInt64)
 	var fastRes, slowRes twl.LifetimeResult
 	for i := 0; i < reps; i++ {
 		for _, disable := range []bool{false, true} {
-			res, elapsed, fastPath, err := runOnce(sys, scheme, mode, seed, disable)
+			res, elapsed, err := runOnce(sys, scheme, mode, seed, disable)
 			if err != nil {
 				return r, err
 			}
@@ -287,7 +207,6 @@ func measure(sys twl.SystemConfig, scheme, modeName string, mode twl.AttackMode,
 				}
 			} else {
 				fastRes = res
-				r.FastPath = fastPath
 				if elapsed < bestFast {
 					bestFast = elapsed
 				}
@@ -309,31 +228,20 @@ func measure(sys twl.SystemConfig, scheme, modeName string, mode twl.AttackMode,
 }
 
 // runOnce builds a fresh system and times one lifetime run.
-func runOnce(sys twl.SystemConfig, scheme string, mode twl.AttackMode, seed uint64, disableFF bool) (twl.LifetimeResult, time.Duration, bool, error) {
+func runOnce(sys twl.SystemConfig, scheme string, mode twl.AttackMode, seed uint64, disableFF bool) (twl.LifetimeResult, time.Duration, error) {
 	dev, err := sys.NewDevice()
 	if err != nil {
-		return twl.LifetimeResult{}, 0, false, err
+		return twl.LifetimeResult{}, 0, err
 	}
 	s, err := twl.NewScheme(scheme, dev, seed)
 	if err != nil {
-		return twl.LifetimeResult{}, 0, false, err
+		return twl.LifetimeResult{}, 0, err
 	}
-	pages := dev.Pages()
-	if lp, ok := s.(interface{ LogicalPages() int }); ok {
-		pages = lp.LogicalPages()
-	}
-	src, err := twl.NewAttack(mode, pages, seed)
+	src, err := twl.NewAttack(mode, s.LogicalPages(), seed)
 	if err != nil {
-		return twl.LifetimeResult{}, 0, false, err
-	}
-	fastPath := false
-	if mode == twl.AttackScan {
-		_, fastPath = s.(sweepWriter)
-	} else {
-		_, fastPath = s.(runWriter)
+		return twl.LifetimeResult{}, 0, err
 	}
 	start := clock.Now()
 	res, err := twl.RunLifetimeWith(s, src, twl.LifetimeConfig{DisableFastForward: disableFF})
-	elapsed := clock.Since(start)
-	return res, elapsed, fastPath, err
+	return res, clock.Since(start), err
 }

@@ -80,11 +80,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		logical := dev.Pages()
-		if z, ok := s.(interface{ LogicalPages() int }); ok {
-			logical = z.LogicalPages()
-		}
-		st, err := attack.New(attack.DefaultConfig(attack.Inconsistent, logical, 13))
+		st, err := attack.New(attack.DefaultConfig(attack.Inconsistent, s.LogicalPages(), 13))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -674,11 +674,7 @@ func RunRetirement(sys SystemConfig, cfg RetirementConfig) (*RetirementResult, e
 	if err != nil {
 		return nil, err
 	}
-	pages := sys.Pages
-	if z, ok := s.(interface{ LogicalPages() int }); ok {
-		pages = z.LogicalPages()
-	}
-	src, err := NewAttack(cfg.Mode, pages, sys.Seed+11)
+	src, err := NewAttack(cfg.Mode, s.LogicalPages(), sys.Seed+11)
 	if err != nil {
 		return nil, err
 	}

@@ -74,10 +74,7 @@ func TestIntegrationDataIntegrityAllSchemes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			logical := s.Device().Pages()
-			if z, ok := s.(interface{ LogicalPages() int }); ok {
-				logical = z.LogicalPages()
-			}
+			logical := s.LogicalPages()
 			shadow := make([]uint64, logical)
 			written := make([]bool, logical)
 			src := rng.NewXorshift(11)
@@ -328,11 +325,7 @@ func TestIntegrationReactiveDefenseLagsTWL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		logical := dev.Pages()
-		if z, ok := s.(interface{ LogicalPages() int }); ok {
-			logical = z.LogicalPages()
-		}
-		st, err := attack.New(attack.DefaultConfig(mode, logical, 13))
+		st, err := attack.New(attack.DefaultConfig(mode, s.LogicalPages(), 13))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -534,6 +534,9 @@ func (e *Engine) Stats() wl.Stats { return e.stats }
 // Device implements wl.Scheme.
 func (e *Engine) Device() *pcm.Device { return e.dev }
 
+// LogicalPages implements wl.Scheme: every device page is addressable.
+func (e *Engine) LogicalPages() int { return e.dev.Pages() }
+
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
 

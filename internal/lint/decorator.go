@@ -8,42 +8,31 @@ import (
 // decoratorAnalyzer enforces the interception-completeness contract
 // (DESIGN.md "Decorator composition"): a named struct type that embeds the
 // wl.Scheme interface and declares its own Write method is a decorator — it
-// interposes on the per-request write path. Such a type must also implement
-// every optional capability interface (wl.Checker, wl.Snapshotter,
-// wl.RunWriter, wl.SweepWriter). A missing implementation is not a
-// capability loss — Wrap simply withholds the interface — but a silent
-// bypass hazard: if the composite is built any other way, the embedded
-// scheme's interface methods serve that path directly, skipping whatever
-// the decorator's Write interposes (a bulk write that dodges failure
-// handling, a checkpoint that drops decorator state, paranoid mode that
-// never sees the decorator's invariants). One diagnostic per missing
-// interface; a decorator that genuinely wants pass-through for one
-// capability states so in twlint.allow.
+// interposes on the per-request write path. Such a type must itself declare
+// every other method that writes or captures scheme state: WriteRun,
+// WriteSweep, CheckInvariants, Snapshot and Restore. The check looks at
+// declared methods only. wl.Scheme is the whole contract, so the embedded
+// interface promotes all five and the type satisfies wl.Scheme regardless —
+// and each promoted method is a silent bypass: a bulk write that dodges the
+// decorator's failure handling, a checkpoint that drops its state, a
+// paranoid check that never sees its invariants. One diagnostic per missing
+// method; a decorator that genuinely wants pass-through for one states so
+// in twlint.allow.
 var decoratorAnalyzer = &Analyzer{
 	Name: "decorator",
-	Doc:  "a type embedding wl.Scheme that overrides Write must implement every optional scheme interface",
+	Doc:  "a type embedding wl.Scheme that overrides Write must declare every other state-touching Scheme method",
 }
 
 func init() { decoratorAnalyzer.Run = runDecorator }
 
-// optionalIfaces are the capability interfaces Wrap forwards; a decorator
-// must intercept each one.
-var optionalIfaces = []string{"Checker", "Snapshotter", "RunWriter", "SweepWriter"}
+// interceptedMethods are the wl.Scheme methods besides Write that a
+// decorator must declare rather than inherit.
+var interceptedMethods = []string{"WriteRun", "WriteSweep", "CheckInvariants", "Snapshot", "Restore"}
 
 func runDecorator(p *Package, w *World) []Diagnostic {
 	if !internalScope(p.Path) {
 		return nil
 	}
-	wlPkg := w.wlContract(p)
-	ifaces := make(map[string]*types.Interface, len(optionalIfaces))
-	for _, name := range optionalIfaces {
-		iface := lookupInterface(wlPkg, name)
-		if iface == nil {
-			return nil // wl package shape changed; the build would have caught real breakage
-		}
-		ifaces[name] = iface
-	}
-
 	var diags []Diagnostic
 	for _, f := range p.Files {
 		if testSupport(f) {
@@ -68,16 +57,15 @@ func runDecorator(p *Package, w *World) []Diagnostic {
 					continue
 				}
 				st, ok := named.Underlying().(*types.Struct)
-				if !ok || !embedsScheme(st) || !declaresWrite(named) {
+				if !ok || !embedsScheme(st) || !declares(named, "Write") {
 					continue
 				}
-				ptr := types.NewPointer(named)
-				for _, name := range optionalIfaces {
-					if types.Implements(named, ifaces[name]) || types.Implements(ptr, ifaces[name]) {
+				for _, name := range interceptedMethods {
+					if declares(named, name) {
 						continue
 					}
 					diags = report(diags, p, w, decoratorAnalyzer, obj.Pos(),
-						"decorator %s embeds wl.Scheme and overrides Write but does not implement wl.%s; the embedded scheme's method serves that path without the decorator's interception", named.Obj().Name(), name)
+						"decorator %s embeds wl.Scheme and overrides Write but does not declare %s; the embedded scheme's promoted method serves that path without the decorator's interception", named.Obj().Name(), name)
 				}
 			}
 		}
@@ -97,12 +85,11 @@ func embedsScheme(st *types.Struct) bool {
 	return false
 }
 
-// declaresWrite reports whether the named type declares its own Write method
-// (promoted methods from the embedded scheme do not count — a type that
-// merely forwards everything interposes on nothing).
-func declaresWrite(named *types.Named) bool {
+// declares reports whether the named type declares a method called name
+// itself (methods promoted from the embedded scheme do not count).
+func declares(named *types.Named, name string) bool {
 	for i := 0; i < named.NumMethods(); i++ {
-		if named.Method(i).Name() == "Write" {
+		if named.Method(i).Name() == name {
 			return true
 		}
 	}

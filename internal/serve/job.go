@@ -43,6 +43,12 @@ type JobSpec struct {
 	MaxDemandWrites uint64 `json:"max_demand_writes,omitempty"`
 }
 
+// MaxJobCells caps the cells one job may expand to (schemes × workloads ×
+// seeds, after duplicate entries collapse). The request body limit alone
+// does not bound the grid: a 1 MiB spec can list half a million seeds.
+// Larger campaigns are submitted as several jobs.
+const MaxJobCells = 4096
+
 // dedupe drops later duplicates from a grid axis, preserving first-seen
 // order. Axes must be duplicate-free after canonicalization so one job
 // never expands to two cells with the same key — same-key cells share
@@ -101,6 +107,9 @@ func (sp *JobSpec) normalize() error {
 		sp.Seeds = []uint64{1}
 	}
 	sp.Seeds = dedupe(sp.Seeds)
+	if n := len(sp.Schemes) * (len(sp.Attacks) + len(sp.Benches)) * len(sp.Seeds); n > MaxJobCells {
+		return fmt.Errorf("serve: job expands to %d cells, over the limit of %d; split it into smaller jobs", n, MaxJobCells)
+	}
 	def := twl.SmallSystem(0)
 	if sp.Pages == 0 {
 		sp.Pages = def.Pages

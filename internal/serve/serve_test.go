@@ -551,6 +551,52 @@ func TestClosedServerRejectsSubmit(t *testing.T) {
 	}
 }
 
+// TestOversizedJobRejected: a grid expanding past MaxJobCells is a 400 and
+// never becomes a job; a grid exactly at the limit validates.
+func TestOversizedJobRejected(t *testing.T) {
+	seeds := func(n int) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = uint64(i + 1)
+		}
+		return out
+	}
+	atLimit := JobSpec{Schemes: []string{"NOWL"}, Attacks: []string{"repeat", "scan"}, Seeds: seeds(MaxJobCells / 2)}
+	if err := atLimit.normalize(); err != nil {
+		t.Fatalf("grid of exactly %d cells rejected: %v", MaxJobCells, err)
+	}
+
+	srv := newTestServer(t, t.TempDir(), 1)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+	over := testSpec()
+	over.Seeds = seeds(MaxJobCells/2 + 1) // 2 schemes × 1 attack
+	b, err := json.Marshal(over)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, out := postJob(t, ts, string(b))
+	if code != http.StatusBadRequest {
+		t.Fatalf("oversized job: HTTP %d (%v), want 400", code, out)
+	}
+	if msg, _ := out["error"].(string); !strings.Contains(msg, "cells") {
+		t.Errorf("error %q does not name the cell limit", msg)
+	}
+	resp, err := http.Get(ts.URL + "/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct{ Jobs []any }
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Jobs) != 0 {
+		t.Fatalf("rejected job was registered: %v", list.Jobs)
+	}
+}
+
 // TestSpecDedupe: duplicate grid axes — case-variant schemes, repeated
 // workloads and seeds — collapse on normalize, so one job never expands to
 // two cells with the same key (same-key cells share checkpoint paths and

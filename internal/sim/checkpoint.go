@@ -99,13 +99,11 @@ func (r *replaySource) Restore(rd io.Reader) error {
 }
 
 // validateCheckpointConfig fails fast — before any request is served — when
-// a checkpointed run involves a scheme or source that cannot be serialized.
-func validateCheckpointConfig(s wl.Scheme, src Source, ckpt *CheckpointConfig) error {
+// a checkpointed run involves a source that cannot be serialized (every
+// scheme can).
+func validateCheckpointConfig(src Source, ckpt *CheckpointConfig) error {
 	if ckpt.Path == "" {
 		return errors.New("sim: CheckpointConfig needs a path")
-	}
-	if _, ok := s.(wl.Snapshotter); !ok {
-		return fmt.Errorf("sim: scheme %s does not support checkpointing", s.Name())
 	}
 	if _, ok := src.(wl.Snapshotter); !ok {
 		return fmt.Errorf("sim: source %T does not support checkpointing", src)
@@ -200,7 +198,7 @@ func (l *lifetimeState) encodeCheckpoint(sw *snap.Writer) error {
 		return err
 	}
 	sw.Tag("scheme")
-	if err := l.s.(wl.Snapshotter).Snapshot(sw); err != nil {
+	if err := l.s.Snapshot(sw); err != nil {
 		return err
 	}
 	sw.Tag("source")
@@ -273,7 +271,7 @@ func (l *lifetimeState) restoreCheckpoint() error {
 			return err
 		}
 		sr.Expect("scheme")
-		if err := l.s.(wl.Snapshotter).Restore(sr); err != nil {
+		if err := l.s.Restore(sr); err != nil {
 			return err
 		}
 		sr.Expect("source")

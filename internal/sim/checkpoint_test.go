@@ -39,7 +39,7 @@ func ckptRunOne(t *testing.T, build schemeFactory, kind string, disableFF bool, 
 	reg := obs.NewRegistry()
 	var traceBuf bytes.Buffer
 	tr := obs.NewTracer(&traceBuf, 1000)
-	res, err := RunLifetime(s, diffSource(t, kind, demandPages(s)), LifetimeConfig{
+	res, err := RunLifetime(s, diffSource(t, kind, s.LogicalPages()), LifetimeConfig{
 		MaxDemandWrites:    maxWrites,
 		CheckEvery:         977,
 		Metrics:            reg,
@@ -173,7 +173,7 @@ func TestCheckpointValidation(t *testing.T) {
 	_ = ckptRunOne(t, build, "repeat", false, 3*ckptCadence, &CheckpointConfig{Path: path, Every: ckptCadence})
 
 	s := build(t)
-	if _, err := RunLifetime(s, diffSource(t, "repeat", demandPages(s)), LifetimeConfig{
+	if _, err := RunLifetime(s, diffSource(t, "repeat", s.LogicalPages()), LifetimeConfig{
 		Checkpoint: &CheckpointConfig{},
 	}); err == nil {
 		t.Error("empty checkpoint path accepted")
@@ -184,7 +184,7 @@ func TestCheckpointValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunLifetime(other, diffSource(t, "repeat", demandPages(other)), LifetimeConfig{
+	if _, err := RunLifetime(other, diffSource(t, "repeat", other.LogicalPages()), LifetimeConfig{
 		Checkpoint: &CheckpointConfig{Path: path, Resume: true},
 	}); err == nil || !strings.Contains(err.Error(), "scheme") {
 		t.Errorf("scheme mismatch not rejected: %v", err)
@@ -192,7 +192,7 @@ func TestCheckpointValidation(t *testing.T) {
 
 	// Resuming without the metrics sink the checkpoint was taken with.
 	s2 := build(t)
-	if _, err := RunLifetime(s2, diffSource(t, "repeat", demandPages(s2)), LifetimeConfig{
+	if _, err := RunLifetime(s2, diffSource(t, "repeat", s2.LogicalPages()), LifetimeConfig{
 		Checkpoint: &CheckpointConfig{Path: path, Resume: true},
 	}); err == nil || !strings.Contains(err.Error(), "metrics") {
 		t.Errorf("metrics-config mismatch not rejected: %v", err)
@@ -211,7 +211,7 @@ func TestCheckpointValidation(t *testing.T) {
 	s3 := build(t)
 	reg := obs.NewRegistry()
 	var traceBuf bytes.Buffer
-	if _, err := RunLifetime(s3, diffSource(t, "repeat", demandPages(s3)), LifetimeConfig{
+	if _, err := RunLifetime(s3, diffSource(t, "repeat", s3.LogicalPages()), LifetimeConfig{
 		Metrics:    reg,
 		Trace:      obs.NewTracer(&traceBuf, 1000),
 		Checkpoint: &CheckpointConfig{Path: bad, Resume: true},
@@ -226,7 +226,7 @@ func TestCheckpointWriteFailureAborts(t *testing.T) {
 	build := registryFactory("TWL_swp")
 	s := build(t)
 	path := filepath.Join(t.TempDir(), "no-such-dir", "run.ckpt")
-	_, err := RunLifetime(s, diffSource(t, "repeat", demandPages(s)), LifetimeConfig{
+	_, err := RunLifetime(s, diffSource(t, "repeat", s.LogicalPages()), LifetimeConfig{
 		MaxDemandWrites: 3 * ckptCadence,
 		Checkpoint:      &CheckpointConfig{Path: path, Every: ckptCadence},
 	})
@@ -337,7 +337,7 @@ func TestStopPreemption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	s := build(t)
 	polled := false
-	res, err := RunLifetime(s, diffSource(t, "repeat", demandPages(s)), LifetimeConfig{
+	res, err := RunLifetime(s, diffSource(t, "repeat", s.LogicalPages()), LifetimeConfig{
 		Checkpoint: &CheckpointConfig{Path: path, Every: ckptCadence},
 		Stop:       func() bool { polled = true; return true },
 	})
@@ -355,7 +355,7 @@ func TestStopPreemption(t *testing.T) {
 	}
 
 	s2 := build(t)
-	resumed, err := RunLifetime(s2, diffSource(t, "repeat", demandPages(s2)), LifetimeConfig{
+	resumed, err := RunLifetime(s2, diffSource(t, "repeat", s2.LogicalPages()), LifetimeConfig{
 		Checkpoint: &CheckpointConfig{Path: path, Every: ckptCadence, Resume: true},
 	})
 	if err != nil {
@@ -381,7 +381,7 @@ func TestStopWithoutCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := diffSource(t, "repeat", demandPages(s))
+	src := diffSource(t, "repeat", s.LogicalPages())
 	stops := 0
 	res, err := RunLifetime(s, src, LifetimeConfig{
 		Stop: func() bool { stops++; return true },

@@ -16,7 +16,6 @@ type lifetimeState struct {
 	s          wl.Scheme
 	dev        *pcm.Device
 	timing     pcm.Timing
-	checker    wl.Checker
 	capRep     wl.CapacityReporter
 	checkEvery uint64
 	metrics    *lifetimeMetrics
@@ -45,8 +44,8 @@ type lifetimeState struct {
 	// from src at bulkLoop entry, so it needs no checkpoint state of its own.
 	observer FeedbackObserver
 
-	// Fast-path chunking diagnostics, registered by bulkLoop only when the
-	// scheme actually has a bulk writer and a metrics registry is attached.
+	// Fast-path chunking diagnostics, registered by bulkLoop only when a
+	// metrics registry is attached.
 	// They describe the simulator's own fast path — the per-write path never
 	// creates them — so the differential bit-identity comparison excludes
 	// the twl_ff_* series (see TestFastForwardDifferential).
@@ -73,7 +72,7 @@ type lifetimeState struct {
 }
 
 // perRequestLoop is the baseline path: one Source.Next, one Write/Read per
-// iteration. The nil-metrics/nil-trace/nil-checker case runs a bare loop
+// iteration. The nil-metrics/nil-trace/no-check case runs a bare loop
 // with those branches hoisted out entirely.
 func (l *lifetimeState) perRequestLoop(src Source) error {
 	if l.metrics == nil && l.traceEvery == 0 && l.checkEvery == 0 && l.ckptEvery == 0 && l.stop == nil {
@@ -126,23 +125,14 @@ func (l *lifetimeState) perRequestBare(src Source) error {
 }
 
 // bulkLoop is the fast-forward path: the source emits runs (same address) or
-// sweeps (consecutive addresses), and the scheme — when it implements the
-// matching writer interface — absorbs the event-free prefix of each run in
-// bulk. Event writes (absorbed == 0) and schemes without the interface are
-// served through the identical per-request accounting as perRequestLoop, so
-// results are bit-identical either way.
+// sweeps (consecutive addresses), and the scheme absorbs the event-free
+// prefix of each run in bulk through WriteRun or WriteSweep. Event writes
+// (absorbed == 0) are served through the identical per-request accounting
+// as perRequestLoop, so results are bit-identical either way.
 //
 //twl:hotpath
 func (l *lifetimeState) bulkLoop(next func(attack.Feedback) (int, bool, int), sweep bool) error {
-	var runWriter wl.RunWriter
-	var sweepWriter wl.SweepWriter
-	if sweep {
-		sweepWriter, _ = l.s.(wl.SweepWriter)
-	} else {
-		runWriter, _ = l.s.(wl.RunWriter)
-	}
-	hasWriter := runWriter != nil || sweepWriter != nil
-	if hasWriter && l.reg != nil {
+	if l.reg != nil {
 		l.initFFMetrics()
 	}
 	l.observer, _ = l.src.(FeedbackObserver)
@@ -172,43 +162,40 @@ func (l *lifetimeState) bulkLoop(next func(attack.Feedback) (int, bool, int), sw
 			l.runActive, l.runAddr, l.runN, l.runOff = true, addr, n, 0
 		}
 		for l.runN > 0 && l.demand < l.limit {
-			if hasWriter {
-				chunk := l.boundedChunk(l.runN)
-				var cost wl.Cost
-				var absorbed int
-				if sweep {
-					cost, absorbed = sweepWriter.WriteSweep(l.runAddr+l.runOff, l.demand, chunk)
-				} else {
-					cost, absorbed = runWriter.WriteRun(l.runAddr, l.demand, chunk)
-				}
-				if absorbed > 0 {
-					l.accountBulk(cost, absorbed)
-					if l.observer != nil {
-						// The absorbed writes share one feedback; relay it
-						// before the checkpoint cadence can snapshot the
-						// source (see FeedbackObserver).
-						l.observer.Observe(l.fb, absorbed)
-					}
-					l.runN -= absorbed
-					l.runOff += absorbed
-					// Same order as the per-request path: the invariant
-					// check (only ever at a batch end, by boundedChunk)
-					// runs before the failure check, then the checkpoint
-					// cadence.
-					if err := l.checkAt(); err != nil {
-						return err
-					}
-					if l.failed() {
-						return nil
-					}
-					if err := l.ckptAt(); err != nil {
-						return err
-					}
-					continue
-				}
+			chunk := l.boundedChunk(l.runN)
+			var cost wl.Cost
+			var absorbed int
+			if sweep {
+				cost, absorbed = l.s.WriteSweep(l.runAddr+l.runOff, l.demand, chunk)
+			} else {
+				cost, absorbed = l.s.WriteRun(l.runAddr, l.demand, chunk)
 			}
-			// Event write, or the scheme has no fast path: serve one
-			// request exactly as the per-request loop would.
+			if absorbed > 0 {
+				l.accountBulk(cost, absorbed)
+				if l.observer != nil {
+					// The absorbed writes share one feedback; relay it
+					// before the checkpoint cadence can snapshot the
+					// source (see FeedbackObserver).
+					l.observer.Observe(l.fb, absorbed)
+				}
+				l.runN -= absorbed
+				l.runOff += absorbed
+				// Same order as the per-request path: the invariant check
+				// (only ever at a batch end, by boundedChunk) runs before
+				// the failure check, then the checkpoint cadence.
+				if err := l.checkAt(); err != nil {
+					return err
+				}
+				if l.failed() {
+					return nil
+				}
+				if err := l.ckptAt(); err != nil {
+					return err
+				}
+				continue
+			}
+			// Event write: serve one request exactly as the per-request
+			// loop would.
 			if l.ffEvents != nil {
 				l.ffEvents.Inc()
 			}
@@ -239,7 +226,7 @@ func (l *lifetimeState) bulkLoop(next func(attack.Feedback) (int, bool, int), sw
 }
 
 // initFFMetrics registers the fast-path diagnostic series. Called from
-// bulkLoop when the scheme has a bulk writer, and from checkpoint restore
+// bulkLoop when a metrics registry is attached, and from checkpoint restore
 // when the interrupted run had them live — registry lookups are idempotent,
 // so both call sites resolve to the same handles in the same registration
 // order as an uninterrupted run.
@@ -347,7 +334,7 @@ func (l *lifetimeState) readOne(addr int) {
 // configured cadence.
 func (l *lifetimeState) checkAt() error {
 	if l.checkEvery > 0 && l.demand%l.checkEvery == 0 {
-		if err := l.checker.CheckInvariants(); err != nil {
+		if err := l.s.CheckInvariants(); err != nil {
 			return fmt.Errorf("sim: invariant violation after %d writes: %w", l.demand, err)
 		}
 	}

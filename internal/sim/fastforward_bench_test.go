@@ -24,7 +24,7 @@ func benchLifetime(b *testing.B, scheme string, mode attack.Mode, disableFF bool
 		if err != nil {
 			b.Fatal(err)
 		}
-		st, err := attack.New(attack.DefaultConfig(mode, demandPages(s), 1))
+		st, err := attack.New(attack.DefaultConfig(mode, s.LogicalPages(), 1))
 		if err != nil {
 			b.Fatal(err)
 		}

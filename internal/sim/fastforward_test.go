@@ -23,28 +23,6 @@ import (
 	_ "twl/internal/wl/startgap"
 )
 
-// runWriters lists the schemes that must implement the fast-forward writer
-// interfaces; every other registered scheme must not, and takes the
-// per-request fallback. The deterministic schemes compute their event
-// horizon directly; TWL (all pairings), WRL, OD3P and RBSG are event-sparse
-// — RNG draws, pairings, gap moves, shuffles and phase transitions only
-// fire at countable boundaries — so they absorb the stretches between
-// events and fall back for the events themselves. With OD3P and RBSG on
-// board the registry has no per-write-only scheme left.
-var runWriters = map[string]bool{
-	"NOWL":     true,
-	"StartGap": true,
-	"BWL":      true,
-	"SR":       true,
-	"SR2":      true,
-	"TWL_swp":  true,
-	"TWL_ap":   true,
-	"TWL_rand": true,
-	"WRL":      true,
-	"OD3P":     true,
-	"RBSG":     true,
-}
-
 const (
 	diffPages     = 256
 	diffEndurance = 3000
@@ -98,15 +76,6 @@ func diffSource(t *testing.T, kind string, pages int) Source {
 	}
 	t.Fatalf("unknown source kind %q", kind)
 	return nil
-}
-
-// demandPages returns the scheme's logical page count (LogicalPages when
-// the scheme reserves spare pages, the device size otherwise).
-func demandPages(s wl.Scheme) int {
-	if z, ok := s.(interface{ LogicalPages() int }); ok {
-		return z.LogicalPages()
-	}
-	return s.Device().Pages()
 }
 
 // metricsJSON renders the registry as JSON with the twl_ff_* and twl_ckpt_*
@@ -178,7 +147,7 @@ func diffRunOne(t *testing.T, build schemeFactory, kind string, disableFF bool) 
 	reg := obs.NewRegistry()
 	var traceBuf bytes.Buffer
 	tr := obs.NewTracer(&traceBuf, 1000)
-	res, err := RunLifetime(s, diffSource(t, kind, demandPages(s)), LifetimeConfig{
+	res, err := RunLifetime(s, diffSource(t, kind, s.LogicalPages()), LifetimeConfig{
 		MaxDemandWrites:    3 * dev.TotalEndurance(),
 		CheckEvery:         977,
 		Metrics:            reg,
@@ -243,22 +212,29 @@ func diffCompare(t *testing.T, build schemeFactory, kind string) {
 	}
 }
 
-// TestFastForwardImplementers pins which schemes opt into the fast path, so
-// an accidental interface change (or a per-write-probabilistic scheme
-// gaining a bogus WriteRun) fails loudly.
+// TestFastForwardImplementers pins that every registered scheme really
+// absorbs writes in bulk on both run shapes the simulator hands it: the
+// same-address runs of the repeat attack (WriteRun) and the
+// consecutive-address sweeps of the scan attack (WriteSweep). A bulk writer
+// that always declines keeps the differential tests green while every
+// write silently takes the per-request path; this catches it through the
+// twl_ff_run_length histogram, which counts absorbed chunks.
 func TestFastForwardImplementers(t *testing.T) {
 	for _, name := range wl.Names() {
-		dev := wltest.NewDeviceEndurance(t, diffPages, diffEndurance, diffSeed)
-		s, err := wl.Build(name, dev, diffSeed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, isRun := s.(wl.RunWriter)
-		if isRun != runWriters[name] {
-			t.Errorf("%s: RunWriter = %v, want %v", name, isRun, runWriters[name])
-		}
-		if _, isSweep := s.(wl.SweepWriter); isSweep && !runWriters[name] {
-			t.Errorf("%s: implements SweepWriter but is not a fast-forward scheme", name)
+		for _, kind := range []string{"repeat", "scan"} {
+			s := registryFactory(name)(t)
+			reg := obs.NewRegistry()
+			_, err := RunLifetime(s, diffSource(t, kind, s.LogicalPages()), LifetimeConfig{
+				MaxDemandWrites: 100_000,
+				Metrics:         reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hist := reg.Histogram("twl_ff_run_length", obs.ExponentialBuckets(1, 4, 11), obs.L("scheme", s.Name())).Snapshot()
+			if hist.Count == 0 {
+				t.Errorf("%s/%s: no write absorbed in bulk", name, kind)
+			}
 		}
 	}
 }
@@ -267,8 +243,8 @@ func TestFastForwardImplementers(t *testing.T) {
 // repeat attack, the scan attack, a bursty RLE trace replay, and the
 // feedback-driven inconsistent attack through both the fast-forward and the
 // per-request paths, and requires bit-identical observables (see
-// diffCompare). With OD3P and RBSG implementing the writers the matrix has
-// no per-write-only cell left; the inconsistent column additionally proves
+// diffCompare). Every scheme implements both bulk writers, so the matrix
+// has no per-write-only cell; the inconsistent column additionally proves
 // that deferred feedback delivery (sim.FeedbackObserver) keeps the
 // attacker's swap-phase detection — and hence every reversal — bit-aligned
 // with the serial stream.
@@ -396,7 +372,7 @@ func TestFastForwardDifferentialWRLVariants(t *testing.T) {
 func TestFastForwardMetrics(t *testing.T) {
 	s := registryFactory("TWL_swp")(t)
 	reg := obs.NewRegistry()
-	res, err := RunLifetime(s, diffSource(t, "repeat", demandPages(s)), LifetimeConfig{
+	res, err := RunLifetime(s, diffSource(t, "repeat", s.LogicalPages()), LifetimeConfig{
 		MaxDemandWrites: 3 * s.Device().TotalEndurance(),
 		Metrics:         reg,
 	})

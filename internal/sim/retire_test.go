@@ -67,7 +67,7 @@ func retireRunOne(t *testing.T, name, order, kind string, disableFF bool, maxWri
 	}
 	var traceBuf bytes.Buffer
 	tr := obs.NewTracer(&traceBuf, 1000)
-	res, err := RunLifetime(s, diffSource(t, kind, demandPages(s)), LifetimeConfig{
+	res, err := RunLifetime(s, diffSource(t, kind, s.LogicalPages()), LifetimeConfig{
 		MaxDemandWrites:    maxWrites,
 		CheckEvery:         977,
 		Metrics:            reg,
@@ -176,7 +176,7 @@ func TestRetireLifetimeExtension(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	s := buildRetired(t, "TWL_swp", "retire_outer", reg)
-	res, err := RunLifetime(s, diffSource(t, "repeat", demandPages(s)), LifetimeConfig{
+	res, err := RunLifetime(s, diffSource(t, "repeat", s.LogicalPages()), LifetimeConfig{
 		MaxDemandWrites: 3 * s.Device().TotalEndurance(),
 		Metrics:         reg,
 	})
@@ -302,7 +302,7 @@ func TestDecoratorStackingSnapshots(t *testing.T) {
 					t.Error("composite hides the capacity reporter")
 				}
 
-				n := demandPages(s)
+				n := s.LogicalPages()
 				for i := 0; i < 5000; i++ {
 					s.Write(i*13%n, uint64(i))
 				}
@@ -349,7 +349,7 @@ func TestInstrumentedStartGapBulkPath(t *testing.T) {
 	if _, ok := s.(wl.RunWriter); !ok {
 		t.Fatal("instrumented StartGap lost wl.RunWriter")
 	}
-	res, err := RunLifetime(s, diffSource(t, "repeat", demandPages(s)), LifetimeConfig{
+	res, err := RunLifetime(s, diffSource(t, "repeat", s.LogicalPages()), LifetimeConfig{
 		MaxDemandWrites: 3 * dev.TotalEndurance(),
 		Metrics:         reg,
 	})

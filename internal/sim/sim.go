@@ -235,9 +235,9 @@ type LifetimeConfig struct {
 	// other.
 	DisableFastForward bool
 	// Checkpoint, when non-nil, periodically serializes the whole run state
-	// to a file and/or resumes from one; see CheckpointConfig. The scheme
-	// and source must implement wl.Snapshotter or RunLifetime fails before
-	// serving any request.
+	// to a file and/or resumes from one; see CheckpointConfig. The source
+	// must implement wl.Snapshotter or RunLifetime fails before serving any
+	// request.
 	Checkpoint *CheckpointConfig
 	// Stop, when non-nil, is polled at the checkpoint cadence (or
 	// DefaultCheckpointEvery when no checkpoint is configured); when it
@@ -394,11 +394,10 @@ func RunLifetime(s wl.Scheme, src Source, cfg LifetimeConfig) (LifetimeResult, e
 		}
 	}
 	timing := dev.Timing()
-	checker, _ := s.(wl.Checker)
 	capRep, _ := wl.AsCapacityReporter(s)
 
 	if cfg.Checkpoint != nil {
-		if err := validateCheckpointConfig(s, src, cfg.Checkpoint); err != nil {
+		if err := validateCheckpointConfig(src, cfg.Checkpoint); err != nil {
 			return LifetimeResult{}, err
 		}
 	}
@@ -416,7 +415,6 @@ func RunLifetime(s wl.Scheme, src Source, cfg LifetimeConfig) (LifetimeResult, e
 		s:          s,
 		dev:        dev,
 		timing:     timing,
-		checker:    checker,
 		capRep:     capRep,
 		checkEvery: cfg.CheckEvery,
 		metrics:    metrics,
@@ -426,9 +424,6 @@ func RunLifetime(s wl.Scheme, src Source, cfg LifetimeConfig) (LifetimeResult, e
 		limit:      limit,
 		src:        src,
 		res:        LifetimeResult{Scheme: s.Name(), FailedPage: -1},
-	}
-	if checker == nil {
-		l.checkEvery = 0
 	}
 
 	resuming := false

@@ -341,6 +341,29 @@ func (s *Scheme) WriteRun(la int, tag uint64, n int) (wl.Cost, int) {
 	}, applied
 }
 
+// WriteSweep implements wl.SweepWriter on top of WriteRun. BWL's filters,
+// counters and move trigger are keyed per logical address, so a sweep has
+// no cheaper shape than one single-write run per address. The sweep stops
+// at the first address WriteRun declines (its write is an event the caller
+// serves normally) and right after a write that wears a page out. Every
+// absorbed write has WriteRun's fixed event-free cost.
+//
+//twl:hotpath
+func (s *Scheme) WriteSweep(la int, tag uint64, n int) (wl.Cost, int) {
+	var cost wl.Cost
+	for i := 0; i < n; i++ {
+		c, k := s.WriteRun(la+i, tag+uint64(i), 1)
+		if k == 0 {
+			return cost, i
+		}
+		cost = c
+		if _, failed := s.dev.Failed(); failed {
+			return cost, i + 1
+		}
+	}
+	return cost, n
+}
+
 // pickStrong returns a physical page to promote onto: the first of up to
 // CandidateProbes candidates from the endurance ranking with meaningfully
 // more remaining life than the current page, whose occupant is neither hot
@@ -438,6 +461,9 @@ func (s *Scheme) Stats() wl.Stats { return s.stats }
 
 // Device implements wl.Scheme.
 func (s *Scheme) Device() *pcm.Device { return s.dev }
+
+// LogicalPages implements wl.Scheme: every device page is addressable.
+func (s *Scheme) LogicalPages() int { return s.dev.Pages() }
 
 // CheckInvariants implements wl.Checker.
 func (s *Scheme) CheckInvariants() error {

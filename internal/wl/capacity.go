@@ -36,32 +36,16 @@ type CapacityStats struct {
 }
 
 // CapacityReporter is implemented by fault-tolerance decorators that retire
-// failed pages. It is a decorator-specific extension, not one of the
-// preserved optional interfaces: find it with AsCapacityReporter, which
-// walks the Unwrap chain of a decorator stack.
+// failed pages. It is a decorator-specific extension, not part of the
+// Scheme contract: find it with AsCapacityReporter, which walks the Unwrap
+// chain of a decorator stack.
 type CapacityReporter interface {
 	CapacityStats() CapacityStats
 }
 
 // AsCapacityReporter finds the first CapacityReporter in a decorator stack,
-// probing each layer's body while walking Unwrap links from the outermost
-// layer inward.
-func AsCapacityReporter(s Scheme) (CapacityReporter, bool) {
-	for s != nil {
-		if r, ok := s.(CapacityReporter); ok {
-			return r, true
-		}
-		u, ok := s.(Unwrapper)
-		if !ok {
-			return nil, false
-		}
-		if r, ok := u.Body().(CapacityReporter); ok {
-			return r, true
-		}
-		s = u.Unwrap()
-	}
-	return nil, false
-}
+// walking Unwrap links from the outermost layer inward.
+func AsCapacityReporter(s Scheme) (CapacityReporter, bool) { return findLayer[CapacityReporter](s) }
 
 // RetireConfig configures the page-retirement decorator. The spare pool
 // itself is device geometry (pcm.Geometry.SparePages) — the decorator uses

@@ -13,13 +13,11 @@ import (
 // histogram, all labeled with the scheme name. Every baseline gets metrics
 // for free — no scheme needs its own instrumentation code.
 //
-// The wrapper is built with Wrap, so it preserves every optional interface
-// the scheme implements: paranoid-mode invariant checks (Checker), the bulk
-// fast paths (RunWriter/SweepWriter — absorbed writes are accounted in the
-// same counters the per-request path uses, so both paths report identical
-// metrics), and checkpointing (Snapshotter — the wrapper persists its own
+// The wrapper intercepts the whole write path: the bulk fast paths account
+// absorbed writes in the same counters the per-request path uses, so both
+// paths report identical metrics, and Snapshot persists the wrapper's own
 // counter state ahead of the scheme's, so a resumed run's metrics continue
-// where the checkpointed run left off).
+// where the checkpointed run left off. The result unwraps to s.
 func Instrument(s Scheme, reg *obs.Registry) Scheme {
 	label := obs.L("scheme", s.Name())
 	reg.Help("twl_scheme_requests_total", "logical requests served by the scheme, by op")
@@ -33,13 +31,10 @@ func Instrument(s Scheme, reg *obs.Registry) Scheme {
 		blocked: reg.Counter("twl_scheme_blocked_total", label),
 		latency: reg.Histogram("twl_scheme_request_cycles", obs.DefaultLatencyBuckets(), label),
 	}
-	return Wrap(w, s)
+	return w
 }
 
-// instrumented decorates a Scheme with metric recording. Wrap exposes its
-// optional-interface methods only when the wrapped scheme has the matching
-// capability, so the bulk and snapshot methods may assert on w.Scheme
-// unconditionally.
+// instrumented decorates a Scheme with metric recording.
 type instrumented struct {
 	Scheme             // snap: wrapped scheme; checkpointed by its own Snapshot call below
 	timing  pcm.Timing // snap: construction input
@@ -63,6 +58,9 @@ func (w *instrumented) Read(la int) (uint64, Cost) {
 	return v, cost
 }
 
+// Unwrap implements Unwrapper.
+func (w *instrumented) Unwrap() Scheme { return w.Scheme }
+
 func (w *instrumented) record(cost Cost) {
 	if cost.Blocked {
 		w.blocked.Inc()
@@ -77,7 +75,7 @@ func (w *instrumented) record(cost Cost) {
 //
 //twl:hotpath
 func (w *instrumented) WriteRun(la int, tag uint64, n int) (Cost, int) {
-	cost, absorbed := w.Scheme.(RunWriter).WriteRun(la, tag, n)
+	cost, absorbed := w.Scheme.WriteRun(la, tag, n)
 	w.recordBulk(cost, absorbed, w.writes)
 	return cost, absorbed
 }
@@ -87,7 +85,7 @@ func (w *instrumented) WriteRun(la int, tag uint64, n int) (Cost, int) {
 //
 //twl:hotpath
 func (w *instrumented) WriteSweep(la int, tag uint64, n int) (Cost, int) {
-	cost, absorbed := w.Scheme.(SweepWriter).WriteSweep(la, tag, n)
+	cost, absorbed := w.Scheme.WriteSweep(la, tag, n)
 	w.recordBulk(cost, absorbed, w.writes)
 	return cost, absorbed
 }
@@ -102,7 +100,7 @@ func (w *instrumented) recordBulk(cost Cost, absorbed int, op *obs.Counter) {
 
 // CheckInvariants forwards paranoid-mode checks to the wrapped scheme.
 func (w *instrumented) CheckInvariants() error {
-	return w.Scheme.(Checker).CheckInvariants()
+	return w.Scheme.CheckInvariants()
 }
 
 // Snapshot persists the wrapper's counter values ahead of the wrapped
@@ -123,7 +121,7 @@ func (w *instrumented) Snapshot(out io.Writer) error {
 	if err := sw.Err(); err != nil {
 		return err
 	}
-	return w.Scheme.(Snapshotter).Snapshot(out)
+	return w.Scheme.Snapshot(out)
 }
 
 // Restore loads counter values written by Snapshot into the (freshly
@@ -149,5 +147,5 @@ func (w *instrumented) Restore(in io.Reader) error {
 	if err := w.latency.AddSnapshot(hs); err != nil {
 		return err
 	}
-	return w.Scheme.(Snapshotter).Restore(in)
+	return w.Scheme.Restore(in)
 }

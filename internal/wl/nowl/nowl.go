@@ -65,6 +65,9 @@ func (s *Scheme) Stats() wl.Stats { return s.stats }
 // Device implements wl.Scheme.
 func (s *Scheme) Device() *pcm.Device { return s.dev }
 
+// LogicalPages implements wl.Scheme: every device page is addressable.
+func (s *Scheme) LogicalPages() int { return s.dev.Pages() }
+
 // CheckInvariants implements wl.Checker (trivially: there is no state).
 func (s *Scheme) CheckInvariants() error { return nil }
 

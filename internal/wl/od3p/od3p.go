@@ -248,6 +248,9 @@ func (s *Scheme) Stats() wl.Stats { return s.stats }
 // Device implements wl.Scheme.
 func (s *Scheme) Device() *pcm.Device { return s.dev }
 
+// LogicalPages implements wl.Scheme: every device page is addressable.
+func (s *Scheme) LogicalPages() int { return s.dev.Pages() }
+
 // Pairings returns how many on-demand pairings have been formed.
 func (s *Scheme) Pairings() uint64 { return s.pairings }
 

@@ -60,18 +60,6 @@ func WithRetirement(cfg RetireConfig) Option {
 	}
 }
 
-// WithDecorator applies an arbitrary wrapper; wrap should use Wrap so the
-// result preserves the scheme's optional interfaces.
-func WithDecorator(wrap func(Scheme) (Scheme, error)) Option {
-	return func(o *buildOptions) error {
-		if wrap == nil {
-			return fmt.Errorf("wl: WithDecorator needs a wrapper: %w", ErrBadConfig)
-		}
-		o.wrappers = append(o.wrappers, wrap)
-		return nil
-	}
-}
-
 // Compose applies the options' decorators to an already-constructed scheme,
 // first option innermost. Callers that build schemes outside a registry
 // (experiments with custom constructors) use it to get the same stack Build

@@ -2,6 +2,7 @@ package wl
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -22,17 +23,24 @@ func testDevice(t *testing.T, pages int) *pcm.Device {
 	return dev
 }
 
-// fakeScheme is a minimal Scheme for registry tests.
+// fakeScheme is a minimal Scheme for registry tests: stateless, with bulk
+// writers that absorb nothing.
 type fakeScheme struct {
 	name string
 	dev  *pcm.Device
 }
 
-func (f *fakeScheme) Name() string            { return f.name }
-func (f *fakeScheme) Write(int, uint64) Cost  { return Cost{DeviceWrites: 1} }
-func (f *fakeScheme) Read(int) (uint64, Cost) { return 0, Cost{DeviceReads: 1} }
-func (f *fakeScheme) Stats() Stats            { return Stats{} }
-func (f *fakeScheme) Device() *pcm.Device     { return f.dev }
+func (f *fakeScheme) Name() string                            { return f.name }
+func (f *fakeScheme) Write(int, uint64) Cost                  { return Cost{DeviceWrites: 1} }
+func (f *fakeScheme) Read(int) (uint64, Cost)                 { return 0, Cost{DeviceReads: 1} }
+func (f *fakeScheme) Stats() Stats                            { return Stats{} }
+func (f *fakeScheme) Device() *pcm.Device                     { return f.dev }
+func (f *fakeScheme) LogicalPages() int                       { return f.dev.Pages() }
+func (f *fakeScheme) CheckInvariants() error                  { return nil }
+func (f *fakeScheme) Snapshot(io.Writer) error                { return nil }
+func (f *fakeScheme) Restore(io.Reader) error                 { return nil }
+func (f *fakeScheme) WriteRun(int, uint64, int) (Cost, int)   { return Cost{}, 0 }
+func (f *fakeScheme) WriteSweep(int, uint64, int) (Cost, int) { return Cost{}, 0 }
 
 func fakeFactory(name string) Factory {
 	return func(dev *pcm.Device, seed uint64) (Scheme, error) {

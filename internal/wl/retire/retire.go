@@ -9,14 +9,14 @@
 // has been retired (the device is declared dead at N% capacity loss).
 //
 // The decorator is scheme-agnostic: it composes with any registered scheme
-// through wl.Wrap, which preserves the scheme's optional interfaces — the
-// bulk fast paths keep running (failures surface through the same
-// clamp-at-failing-write contract), checkpoints include the retirement
-// state, and paranoid mode checks both the decorator's bookkeeping and the
-// scheme's own invariants. Retirement happens below the scheme's address
-// map: the scheme keeps writing the physical page it chose, and the device
-// resolves retired pages to their spares, exactly like a programmable
-// address decoder under a wear-leveler.
+// and intercepts the whole wl.Scheme contract — the bulk fast paths keep
+// running (failures surface through the same clamp-at-failing-write
+// contract), checkpoints include the retirement state, and paranoid mode
+// checks both the decorator's bookkeeping and the scheme's own invariants.
+// Retirement happens below the scheme's address map: the scheme keeps
+// writing the physical page it chose, and the device resolves retired pages
+// to their spares, exactly like a programmable address decoder under a
+// wear-leveler.
 package retire
 
 import (
@@ -55,13 +55,13 @@ func New(inner wl.Scheme, cfg wl.RetireConfig) (wl.Scheme, error) {
 	for i := range d.origin {
 		d.origin[i] = -1
 	}
-	return wl.Wrap(d, inner), nil
+	return d, nil
 }
 
 // decorator intercepts the write paths, drains the device's failure log
 // after each one, and retires failed pages into the spare pool. It stays
 // unexported: it is not a registerable scheme, only a layer Build/Compose
-// put over one.
+// put over one, found in a stack through wl.AsCapacityReporter.
 type decorator struct {
 	wl.Scheme              // snap: wrapped scheme; checkpointed by its own Snapshot call below
 	dev        *pcm.Device // snap: construction input (the scheme's device)
@@ -86,6 +86,9 @@ func (d *decorator) Write(la int, tag uint64) wl.Cost {
 	return cost
 }
 
+// Unwrap implements wl.Unwrapper.
+func (d *decorator) Unwrap() wl.Scheme { return d.Scheme }
+
 // WriteRun forwards the same-address fast path. A mid-run failure clamps
 // the run at the failing write (RunWriter contract), so draining the log
 // after the call retires the page at exactly the same demand-write count
@@ -93,7 +96,7 @@ func (d *decorator) Write(la int, tag uint64) wl.Cost {
 //
 //twl:hotpath
 func (d *decorator) WriteRun(la int, tag uint64, n int) (wl.Cost, int) {
-	cost, absorbed := d.Scheme.(wl.RunWriter).WriteRun(la, tag, n)
+	cost, absorbed := d.Scheme.WriteRun(la, tag, n)
 	if d.dev.FailedPages() > d.handled {
 		d.onFailures()
 	}
@@ -105,7 +108,7 @@ func (d *decorator) WriteRun(la int, tag uint64, n int) (wl.Cost, int) {
 //
 //twl:hotpath
 func (d *decorator) WriteSweep(la int, tag uint64, n int) (wl.Cost, int) {
-	cost, absorbed := d.Scheme.(wl.SweepWriter).WriteSweep(la, tag, n)
+	cost, absorbed := d.Scheme.WriteSweep(la, tag, n)
 	if d.dev.FailedPages() > d.handled {
 		d.onFailures()
 	}
@@ -212,10 +215,7 @@ func (d *decorator) CheckInvariants() error {
 	if serving != d.retired {
 		return fmt.Errorf("retire: %d spares in service, %d pages retired", serving, d.retired)
 	}
-	if c, ok := d.Scheme.(wl.Checker); ok {
-		return c.CheckInvariants()
-	}
-	return nil
+	return d.Scheme.CheckInvariants()
 }
 
 // Snapshot persists the retirement state ahead of the wrapped scheme's.
@@ -236,7 +236,7 @@ func (d *decorator) Snapshot(w io.Writer) error {
 	if err := sw.Err(); err != nil {
 		return err
 	}
-	return d.Scheme.(wl.Snapshotter).Snapshot(w)
+	return d.Scheme.Snapshot(w)
 }
 
 // Restore loads state written by Snapshot, then restores the wrapped
@@ -267,5 +267,5 @@ func (d *decorator) Restore(r io.Reader) error {
 	if err := sr.Err(); err != nil {
 		return err
 	}
-	return d.Scheme.(wl.Snapshotter).Restore(r)
+	return d.Scheme.Restore(r)
 }

@@ -291,6 +291,9 @@ func (s *Scheme) Stats() wl.Stats { return s.stats }
 // Device implements wl.Scheme.
 func (s *Scheme) Device() *pcm.Device { return s.dev }
 
+// LogicalPages implements wl.Scheme: every device page is addressable.
+func (s *Scheme) LogicalPages() int { return s.dev.Pages() }
+
 // CheckInvariants implements wl.Checker: the XOR mapping must be a bijection
 // per region (it is by construction, but the refreshed() predicate could
 // break it if the sweep bookkeeping were wrong), and wear must be conserved.

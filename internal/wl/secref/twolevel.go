@@ -350,6 +350,9 @@ func (s *TwoLevel) Stats() wl.Stats { return s.stats }
 // Device implements wl.Scheme.
 func (s *TwoLevel) Device() *pcm.Device { return s.dev }
 
+// LogicalPages implements wl.Scheme: every device page is addressable.
+func (s *TwoLevel) LogicalPages() int { return s.dev.Pages() }
+
 // CheckInvariants implements wl.Checker: the composed mapping must be a
 // bijection over the whole array, and wear must be conserved.
 func (s *TwoLevel) CheckInvariants() error {

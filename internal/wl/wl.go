@@ -13,7 +13,6 @@
 package wl
 
 import (
-	"fmt"
 	"io"
 	"sort"
 
@@ -92,7 +91,10 @@ func (s Stats) SwapWriteRatio() float64 {
 	return float64(s.SwapWrites) / float64(s.DemandWrites)
 }
 
-// Scheme is a wear-leveling scheme bound to a PCM device.
+// Scheme is a wear-leveling scheme bound to a PCM device. It is the whole
+// contract every registered scheme and every decorator implements: the
+// per-request paths, invariant checking, checkpointing and both bulk
+// writers. The simulator relies on each of them without probing.
 type Scheme interface {
 	// Name identifies the scheme in reports ("NOWL", "SR", "BWL", "TWL_swp"…).
 	Name() string
@@ -105,18 +107,29 @@ type Scheme interface {
 	Stats() Stats
 	// Device returns the underlying PCM array.
 	Device() *pcm.Device
+	// LogicalPages reports the demand-addressable page count. Schemes that
+	// reserve physical pages for themselves (StartGap's gap page, RBSG's
+	// per-region gaps) expose fewer pages than the device holds; traffic
+	// generators must stay inside this space.
+	LogicalPages() int
+
+	Checker
+	Snapshotter
+	RunWriter
+	SweepWriter
 }
 
-// Checker is implemented by schemes that can verify their internal
-// invariants (mapping bijectivity, pairing involution). The simulator's
-// paranoid mode and the integration tests call it.
+// Checker verifies a scheme's internal invariants (mapping bijectivity,
+// pairing involution). The simulator's paranoid mode and the integration
+// tests call it.
 type Checker interface {
 	CheckInvariants() error
 }
 
-// Snapshotter is the optional checkpoint interface. A scheme (or any other
-// stateful simulation component) that implements it can be serialized into
-// a lifetime checkpoint and restored bit-identically.
+// Snapshotter is the checkpoint interface. Every scheme implements it; any
+// other stateful simulation component (an attack stream, a trace replayer)
+// that implements it can be serialized into a lifetime checkpoint and
+// restored bit-identically.
 //
 // Contract:
 //
@@ -150,29 +163,14 @@ type MemoryReporter interface {
 }
 
 // AsMemoryReporter finds the first MemoryReporter in a decorator stack,
-// probing each layer's body while walking Unwrap links from the outermost
-// layer inward (the same protocol as AsCapacityReporter — memory reporting
-// is an extension interface, not one of Wrap's preserved capabilities).
-func AsMemoryReporter(s Scheme) (MemoryReporter, bool) {
-	for s != nil {
-		if r, ok := s.(MemoryReporter); ok {
-			return r, true
-		}
-		u, ok := s.(Unwrapper)
-		if !ok {
-			return nil, false
-		}
-		if r, ok := u.Body().(MemoryReporter); ok {
-			return r, true
-		}
-		s = u.Unwrap()
-	}
-	return nil, false
-}
+// walking Unwrap links from the outermost layer inward (the same protocol
+// as AsCapacityReporter — memory reporting is an extension interface, not
+// part of the Scheme contract).
+func AsMemoryReporter(s Scheme) (MemoryReporter, bool) { return findLayer[MemoryReporter](s) }
 
-// RunWriter is the optional fast-forward interface for same-address write
-// runs. Schemes implement it by computing the distance to their next
-// internal event (gap move, refresh step, epoch rotation, toss-up, phase
+// RunWriter is the fast-forward interface for same-address write runs.
+// Schemes implement it by computing the distance to their next internal
+// event (gap move, refresh step, epoch rotation, toss-up, phase
 // transition, …) in O(1) and bulk-applying the event-free prefix of the
 // run.
 //
@@ -192,20 +190,20 @@ func AsMemoryReporter(s Scheme) (MemoryReporter, bool) {
 //     endurance, the run stops at (and including) that write — absorbed
 //     counts it, nothing after it is applied (pcm.Device.WriteN clamps).
 //   - RNG alignment: absorbed writes must consume zero RNG draws. A
-//     probabilistic scheme may implement RunWriter only when its randomness
-//     is event-sparse — every draw happens at an interval-triggered event
+//     probabilistic scheme may absorb writes only when its randomness is
+//     event-sparse — every draw happens at an interval-triggered event
 //     (TWL's toss-up and inter-pair swap, and likewise PS-WL/WoLFRaM-style
 //     randomized remapping) — so that the RNG stream stays bit-aligned with
 //     the per-write path: the fast path stops strictly before each
 //     RNG-bearing event and the caller fires it through a normal Write. A
-//     scheme that draws randomness on every write has no event-free prefix
-//     and must not implement RunWriter.
+//     scheme that draws randomness on every write has no event-free prefix:
+//     its WriteRun absorbs nothing and every write takes the Write path.
 type RunWriter interface {
 	WriteRun(la int, tag uint64, n int) (Cost, int)
 }
 
-// SweepWriter is the optional fast-forward interface for consecutive-address
-// write sweeps: the i-th write (0-indexed) of the sweep is Write(la+i, tag+i)
+// SweepWriter is the fast-forward interface for consecutive-address write
+// sweeps: the i-th write (0-indexed) of the sweep is Write(la+i, tag+i)
 // and la+n-1 must be a valid logical address. The contract is otherwise
 // identical to RunWriter — bit-identical state versus the sequential calls,
 // uniform unblocked per-write cost for the absorbed prefix, absorbed == 0
@@ -214,7 +212,9 @@ type RunWriter interface {
 //
 // Scan-style sources emit sweeps; schemes whose address mapping advances
 // incrementally under la+1 (identity, affine, XOR-in-region) can absorb
-// them without per-write table walks.
+// them without per-write table walks; schemes with per-address state and
+// no such mapping (BWL) absorb a sweep address by address through their own
+// WriteRun.
 type SweepWriter interface {
 	WriteSweep(la int, tag uint64, n int) (Cost, int)
 }
@@ -244,12 +244,4 @@ func SortByEndurance(endurance []uint64) []int {
 		return endurance[idx[a]] < endurance[idx[b]]
 	})
 	return idx
-}
-
-// ValidateLA bounds-checks a logical address against the device.
-func ValidateLA(dev *pcm.Device, la int) error {
-	if la < 0 || la >= dev.Pages() {
-		return fmt.Errorf("wl: logical address %d out of range [0,%d)", la, dev.Pages())
-	}
-	return nil
 }

@@ -51,14 +51,6 @@ func NewSpareDevice(tb testing.TB, pages, spares int, mean float64, seed uint64)
 	return dev
 }
 
-// logicalPages returns the demand-addressable page count of a scheme.
-func logicalPages(s wl.Scheme) int {
-	if z, ok := s.(interface{ LogicalPages() int }); ok {
-		return z.LogicalPages()
-	}
-	return s.Device().Pages()
-}
-
 // Run executes the full conformance suite. build must return a fresh scheme
 // over a fresh device each call (seed varies the endurance map and any
 // internal randomness).
@@ -75,7 +67,7 @@ func Run(t *testing.T, build func(tb testing.TB, seed uint64) wl.Scheme) {
 func dataIntegrity(t *testing.T, build func(tb testing.TB, seed uint64) wl.Scheme) {
 	for _, seed := range []uint64{1, 2, 3} {
 		s := build(t, seed)
-		n := logicalPages(s)
+		n := s.LogicalPages()
 		shadow := make(map[int]uint64)
 		src := rng.NewXorshift(seed * 977)
 		for i := 0; i < 60000; i++ {
@@ -103,7 +95,7 @@ func dataIntegrity(t *testing.T, build func(tb testing.TB, seed uint64) wl.Schem
 // scheme's reported swap writes — no silent wear.
 func wearConservation(t *testing.T, build func(tb testing.TB, seed uint64) wl.Scheme) {
 	s := build(t, 7)
-	n := logicalPages(s)
+	n := s.LogicalPages()
 	src := rng.NewXorshift(123)
 	for i := 0; i < 50000; i++ {
 		s.Write(src.Intn(n), uint64(i))
@@ -120,11 +112,7 @@ func wearConservation(t *testing.T, build func(tb testing.TB, seed uint64) wl.Sc
 // invariantsHold: the scheme's own CheckInvariants passes after heavy load.
 func invariantsHold(t *testing.T, build func(tb testing.TB, seed uint64) wl.Scheme) {
 	s := build(t, 11)
-	c, ok := s.(wl.Checker)
-	if !ok {
-		t.Skip("scheme does not implement wl.Checker")
-	}
-	n := logicalPages(s)
+	n := s.LogicalPages()
 	src := rng.NewXorshift(321)
 	for i := 0; i < 50000; i++ {
 		if src.Intn(5) == 0 {
@@ -133,12 +121,12 @@ func invariantsHold(t *testing.T, build func(tb testing.TB, seed uint64) wl.Sche
 			s.Write(src.Intn(n), src.Uint64())
 		}
 		if i%9973 == 0 {
-			if err := c.CheckInvariants(); err != nil {
+			if err := s.CheckInvariants(); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
 		}
 	}
-	if err := c.CheckInvariants(); err != nil {
+	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -147,7 +135,7 @@ func invariantsHold(t *testing.T, build func(tb testing.TB, seed uint64) wl.Sche
 // least one device read; cycle conversion is positive.
 func costSanity(t *testing.T, build func(tb testing.TB, seed uint64) wl.Scheme) {
 	s := build(t, 13)
-	n := logicalPages(s)
+	n := s.LogicalPages()
 	timing := s.Device().Timing()
 	src := rng.NewXorshift(55)
 	for i := 0; i < 20000; i++ {
@@ -176,7 +164,7 @@ func costSanity(t *testing.T, build func(tb testing.TB, seed uint64) wl.Scheme) 
 // exactly.
 func statsMonotonic(t *testing.T, build func(tb testing.TB, seed uint64) wl.Scheme) {
 	s := build(t, 17)
-	n := logicalPages(s)
+	n := s.LogicalPages()
 	src := rng.NewXorshift(77)
 	var prev wl.Stats
 	for i := 0; i < 10000; i++ {

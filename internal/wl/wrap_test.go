@@ -6,15 +6,19 @@ import (
 	"io"
 	"testing"
 
+	"twl/internal/obs"
 	"twl/internal/pcm"
 )
 
-// capScheme is fakeScheme plus a configurable subset of the optional
-// interfaces, built by capBuild from a capability mask. Each optional method
-// flips a probe flag so tests can verify which implementation ran.
+// capScheme is fakeScheme with probes on every contract method beyond the
+// per-request paths, so tests can verify which implementation ran.
 type capScheme struct {
 	fakeScheme
 	checked, snapped, restored, ran, swept bool
+}
+
+func newCapScheme(dev *pcm.Device) *capScheme {
+	return &capScheme{fakeScheme: fakeScheme{name: "cap", dev: dev}}
 }
 
 func (c *capScheme) CheckInvariants() error { c.checked = true; return nil }
@@ -32,134 +36,12 @@ func (c *capScheme) WriteSweep(la int, tag uint64, n int) (Cost, int) {
 	return Cost{DeviceWrites: 1}, n
 }
 
-const (
-	capChecker = 1 << iota
-	capSnapshotter
-	capRunWriter
-	capSweepWriter
-)
-
-// capBuild returns a scheme implementing exactly the optional interfaces in
-// mask. The full implementation lives on *capScheme; narrower capability
-// sets are carved out with the same embedding trick Wrap uses.
-func capBuild(dev *pcm.Device, mask int) (Scheme, *capScheme) {
-	c := &capScheme{fakeScheme: fakeScheme{name: "cap", dev: dev}}
-	var s Scheme = &c.fakeScheme
-	switch mask {
-	case 0:
-	case capChecker:
-		s = struct {
-			Scheme
-			Checker
-		}{s, c}
-	case capSnapshotter:
-		s = struct {
-			Scheme
-			Snapshotter
-		}{s, c}
-	case capChecker | capSnapshotter:
-		s = struct {
-			Scheme
-			Checker
-			Snapshotter
-		}{s, c, c}
-	case capRunWriter:
-		s = struct {
-			Scheme
-			RunWriter
-		}{s, c}
-	case capChecker | capRunWriter:
-		s = struct {
-			Scheme
-			Checker
-			RunWriter
-		}{s, c, c}
-	case capSnapshotter | capRunWriter:
-		s = struct {
-			Scheme
-			Snapshotter
-			RunWriter
-		}{s, c, c}
-	case capChecker | capSnapshotter | capRunWriter:
-		s = struct {
-			Scheme
-			Checker
-			Snapshotter
-			RunWriter
-		}{s, c, c, c}
-	case capSweepWriter:
-		s = struct {
-			Scheme
-			SweepWriter
-		}{s, c}
-	case capChecker | capSweepWriter:
-		s = struct {
-			Scheme
-			Checker
-			SweepWriter
-		}{s, c, c}
-	case capSnapshotter | capSweepWriter:
-		s = struct {
-			Scheme
-			Snapshotter
-			SweepWriter
-		}{s, c, c}
-	case capChecker | capSnapshotter | capSweepWriter:
-		s = struct {
-			Scheme
-			Checker
-			Snapshotter
-			SweepWriter
-		}{s, c, c, c}
-	case capRunWriter | capSweepWriter:
-		s = struct {
-			Scheme
-			RunWriter
-			SweepWriter
-		}{s, c, c}
-	case capChecker | capRunWriter | capSweepWriter:
-		s = struct {
-			Scheme
-			Checker
-			RunWriter
-			SweepWriter
-		}{s, c, c, c}
-	case capSnapshotter | capRunWriter | capSweepWriter:
-		s = struct {
-			Scheme
-			Snapshotter
-			RunWriter
-			SweepWriter
-		}{s, c, c, c}
-	default:
-		s = c
-	}
-	return s, c
-}
-
-// capsOf reports which optional interfaces a scheme exposes, as a mask.
-func capsOf(s Scheme) int {
-	mask := 0
-	if _, ok := s.(Checker); ok {
-		mask |= capChecker
-	}
-	if _, ok := s.(Snapshotter); ok {
-		mask |= capSnapshotter
-	}
-	if _, ok := s.(RunWriter); ok {
-		mask |= capRunWriter
-	}
-	if _, ok := s.(SweepWriter); ok {
-		mask |= capSweepWriter
-	}
-	return mask
-}
-
-// passBody is a decorator body with no capabilities of its own.
+// passBody is a decorator body that overrides nothing.
 type passBody struct{ Scheme }
 
-// fullBody is a decorator body implementing every optional interface, with
-// probes to verify that Wrap prefers the body's implementations.
+// fullBody is a decorator body overriding every contract method beyond the
+// per-request paths, with probes to verify that the composite prefers the
+// body's implementations.
 type fullBody struct {
 	Scheme
 	checked, snapped, ran, swept bool
@@ -177,92 +59,84 @@ func (b *fullBody) WriteSweep(la int, tag uint64, n int) (Cost, int) {
 	return Cost{DeviceWrites: 1}, n
 }
 
-// TestWrapPreservesExactCapabilities: for all 16 capability combinations of
-// the inner scheme, the composite exposes exactly the inner's set — whether
-// the body implements none of the optional interfaces (forwarding) or all
-// of them (nothing invented beyond the inner's set).
+// TestWrapPreservesExactCapabilities: the composite's method set is exactly
+// the Scheme contract plus Unwrap, whatever the body implements — extension
+// interfaces of the body (here a CapacityReporter and a MemoryReporter) do
+// not leak onto it.
 func TestWrapPreservesExactCapabilities(t *testing.T) {
 	dev := testDevice(t, 8)
-	for mask := 0; mask < 16; mask++ {
-		inner, _ := capBuild(dev, mask)
-		if got := capsOf(inner); got != mask {
-			t.Fatalf("capBuild(%04b) built capability set %04b", mask, got)
+	inner := newCapScheme(dev)
+	for _, body := range []Scheme{
+		&passBody{Scheme: inner},
+		&fullBody{Scheme: inner},
+		&reporterBody{Scheme: inner},
+	} {
+		w := Wrap(body, inner)
+		if _, ok := w.(Unwrapper); !ok {
+			t.Errorf("%T: composite has no Unwrap link", body)
 		}
-		for _, tc := range []struct {
-			name string
-			body Scheme
-		}{
-			{"passBody", &passBody{Scheme: inner}},
-			{"fullBody", &fullBody{Scheme: inner}},
-		} {
-			w := Wrap(tc.body, inner)
-			if got := capsOf(w); got != mask {
-				t.Errorf("mask %04b, %s: composite capability set %04b", mask, tc.name, got)
-			}
+		if _, ok := w.(CapacityReporter); ok {
+			t.Errorf("%T: composite leaks CapacityReporter", body)
+		}
+		if _, ok := w.(MemoryReporter); ok {
+			t.Errorf("%T: composite leaks MemoryReporter", body)
 		}
 	}
 }
 
-// TestWrapForwardsToInner: when the body lacks an optional method the
-// composite forwards to the inner scheme's implementation.
+// TestWrapForwardsToInner: when the body does not override a method the
+// composite serves it from the inner scheme the body embeds.
 func TestWrapForwardsToInner(t *testing.T) {
 	dev := testDevice(t, 8)
-	inner, probe := capBuild(dev, capChecker|capSnapshotter|capRunWriter|capSweepWriter)
+	inner := newCapScheme(dev)
 	w := Wrap(&passBody{Scheme: inner}, inner)
-	if err := w.(Checker).CheckInvariants(); err != nil || !probe.checked {
+	if err := w.CheckInvariants(); err != nil || !inner.checked {
 		t.Fatal("CheckInvariants did not reach the inner scheme")
 	}
-	if err := w.(Snapshotter).Snapshot(&bytes.Buffer{}); err != nil || !probe.snapped {
+	if err := w.Snapshot(&bytes.Buffer{}); err != nil || !inner.snapped {
 		t.Fatal("Snapshot did not reach the inner scheme")
 	}
-	if err := w.(Snapshotter).Restore(&bytes.Buffer{}); err != nil || !probe.restored {
+	if err := w.Restore(&bytes.Buffer{}); err != nil || !inner.restored {
 		t.Fatal("Restore did not reach the inner scheme")
 	}
-	if _, n := w.(RunWriter).WriteRun(0, 1, 3); n != 3 || !probe.ran {
+	if _, n := w.WriteRun(0, 1, 3); n != 3 || !inner.ran {
 		t.Fatal("WriteRun did not reach the inner scheme")
 	}
-	if _, n := w.(SweepWriter).WriteSweep(0, 1, 3); n != 3 || !probe.swept {
+	if _, n := w.WriteSweep(0, 1, 3); n != 3 || !inner.swept {
 		t.Fatal("WriteSweep did not reach the inner scheme")
 	}
 }
 
-// TestWrapPrefersBodyOverrides: when both body and inner implement an
-// optional interface, the composite dispatches to the body.
+// TestWrapPrefersBodyOverrides: when the body overrides a method, the
+// composite dispatches to the body.
 func TestWrapPrefersBodyOverrides(t *testing.T) {
 	dev := testDevice(t, 8)
-	inner, probe := capBuild(dev, capChecker|capSnapshotter|capRunWriter|capSweepWriter)
+	inner := newCapScheme(dev)
 	body := &fullBody{Scheme: inner}
 	w := Wrap(body, inner)
-	w.(Checker).CheckInvariants()
-	w.(Snapshotter).Snapshot(&bytes.Buffer{})
-	w.(RunWriter).WriteRun(0, 1, 3)
-	w.(SweepWriter).WriteSweep(0, 1, 3)
+	w.CheckInvariants()
+	w.Snapshot(&bytes.Buffer{})
+	w.WriteRun(0, 1, 3)
+	w.WriteSweep(0, 1, 3)
 	if !body.checked || !body.snapped || !body.ran || !body.swept {
 		t.Fatalf("body overrides skipped: %+v", body)
 	}
-	if probe.checked || probe.snapped || probe.ran || probe.swept {
+	if inner.checked || inner.snapped || inner.ran || inner.swept {
 		t.Fatalf("inner reached despite body overrides: checked=%v snapped=%v ran=%v swept=%v",
-			probe.checked, probe.snapped, probe.ran, probe.swept)
+			inner.checked, inner.snapped, inner.ran, inner.swept)
 	}
 }
 
-// TestWrapLogicalPages: composites always expose LogicalPages, forwarding
-// the inner scheme's value when it has one and falling back to the device
-// page count otherwise.
+// TestWrapLogicalPages: composites forward the inner scheme's logical page
+// count rather than widening it back to the device size.
 func TestWrapLogicalPages(t *testing.T) {
 	dev := testDevice(t, 8)
-	plain, _ := capBuild(dev, 0)
-	w := Wrap(&passBody{Scheme: plain}, plain)
-	lp, ok := w.(interface{ LogicalPages() int })
-	if !ok {
-		t.Fatal("composite does not expose LogicalPages")
-	}
-	if got := lp.LogicalPages(); got != 8 {
-		t.Fatalf("LogicalPages fallback = %d, want device pages 8", got)
+	plain := newCapScheme(dev)
+	if got := Wrap(&passBody{Scheme: plain}, plain).LogicalPages(); got != 8 {
+		t.Fatalf("LogicalPages = %d, want device pages 8", got)
 	}
 	scoped := &scopedScheme{Scheme: plain}
-	w = Wrap(&passBody{Scheme: scoped}, scoped)
-	if got := w.(interface{ LogicalPages() int }).LogicalPages(); got != 7 {
+	if got := Wrap(&passBody{Scheme: scoped}, scoped).LogicalPages(); got != 7 {
 		t.Fatalf("LogicalPages = %d, want inner's 7", got)
 	}
 }
@@ -272,29 +146,20 @@ type scopedScheme struct{ Scheme }
 
 func (s *scopedScheme) LogicalPages() int { return s.Device().Pages() - 1 }
 
-// TestWrapUnwrapChain: Unwrap exposes the decorator body so stack-walking
-// helpers can find extension interfaces the composite hides.
+// TestWrapUnwrapChain: Unwrap links let stack-walking helpers find an
+// extension interface on a layer that declares its own Unwrap, through any
+// number of Wrap layers above it.
 func TestWrapUnwrapChain(t *testing.T) {
 	dev := testDevice(t, 8)
-	inner, _ := capBuild(dev, capChecker)
-	body := &reporterBody{Scheme: inner}
-	w := Wrap(body, inner)
-	if _, ok := w.(CapacityReporter); ok {
-		t.Fatal("composite leaks a non-preserved extension interface directly")
-	}
-	u, ok := w.(Unwrapper)
-	if !ok {
-		t.Fatal("composite does not expose Unwrap")
-	}
-	if u.Body() != Scheme(body) {
-		t.Fatal("Body did not return the decorator body")
-	}
-	if u.Unwrap() != inner {
+	inner := newCapScheme(dev)
+	rep := &reporterLayer{Scheme: inner}
+	w := Wrap(&passBody{Scheme: rep}, rep)
+	if got := w.(Unwrapper).Unwrap(); got != Scheme(rep) {
 		t.Fatal("Unwrap did not return the wrapped scheme")
 	}
 	r, ok := AsCapacityReporter(w)
 	if !ok {
-		t.Fatal("AsCapacityReporter did not find the body's reporter")
+		t.Fatal("AsCapacityReporter did not find the reporter below a Wrap layer")
 	}
 	if got := r.CapacityStats(); got.SparePages != 42 {
 		t.Fatalf("reporter stats = %+v, want SparePages 42", got)
@@ -315,23 +180,51 @@ type reporterBody struct{ Scheme }
 
 func (b *reporterBody) CapacityStats() CapacityStats { return CapacityStats{SparePages: 42} }
 
+// reporterLayer is reporterBody declaring its own Unwrap, as the retire
+// decorator does, so it is used bare rather than through Wrap.
+type reporterLayer reporterBody
+
+func (l *reporterLayer) CapacityStats() CapacityStats { return CapacityStats{SparePages: 42} }
+func (l *reporterLayer) Unwrap() Scheme               { return l.Scheme }
+
+// fakeRetirement installs a retirement factory that wraps with a reporter
+// layer and records each call in order, restoring the linked-in factory
+// (none, inside this package's tests) afterwards.
+func fakeRetirement(t *testing.T, order *[]string, err error) {
+	t.Helper()
+	old := retireFactory
+	t.Cleanup(func() { retireFactory = old })
+	RegisterRetirementFactory(func(inner Scheme, _ RetireConfig) (Scheme, error) {
+		*order = append(*order, "retire")
+		if err != nil {
+			return nil, err
+		}
+		return &reporterLayer{Scheme: inner}, nil
+	})
+}
+
 // TestComposeAppliesInOrder: first option innermost.
 func TestComposeAppliesInOrder(t *testing.T) {
 	dev := testDevice(t, 8)
-	inner, _ := capBuild(dev, 0)
+	inner := newCapScheme(dev)
 	var order []string
-	tag := func(name string) Option {
-		return WithDecorator(func(s Scheme) (Scheme, error) {
-			order = append(order, name)
-			return Wrap(&passBody{Scheme: s}, s), nil
-		})
-	}
-	s, err := Compose(inner, tag("a"), tag("b"))
+	fakeRetirement(t, &order, nil)
+	s, err := Compose(inner, WithRetirement(RetireConfig{}), WithInstrumentation(obs.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Fatalf("decorator order = %v, want [a b]", order)
+	if len(order) != 1 {
+		t.Fatalf("retirement factory calls = %v, want one", order)
+	}
+	if _, ok := s.(*instrumented); !ok {
+		t.Fatalf("outermost layer = %T, want the instrumentation", s)
+	}
+	mid := s.(Unwrapper).Unwrap()
+	if _, ok := mid.(*reporterLayer); !ok {
+		t.Fatalf("middle layer = %T, want the retirement", mid)
+	}
+	if mid.(Unwrapper).Unwrap() != Scheme(inner) {
+		t.Fatal("innermost layer is not the scheme")
 	}
 	if s.Name() != "cap" {
 		t.Fatalf("composed scheme name = %q", s.Name())
@@ -341,16 +234,21 @@ func TestComposeAppliesInOrder(t *testing.T) {
 // TestComposeErrors: option and wrapper failures surface.
 func TestComposeErrors(t *testing.T) {
 	dev := testDevice(t, 8)
-	inner, _ := capBuild(dev, 0)
-	if _, err := Compose(inner, WithDecorator(nil)); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("nil wrapper err = %v, want ErrBadConfig", err)
-	}
+	inner := newCapScheme(dev)
 	if _, err := Compose(inner, WithInstrumentation(nil)); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("nil registry err = %v, want ErrBadConfig", err)
 	}
+	old := retireFactory
+	retireFactory = nil
+	_, err := Compose(inner, WithRetirement(RetireConfig{}))
+	retireFactory = old
+	if !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("unlinked retirement err = %v, want ErrBadConfig", err)
+	}
 	boom := errors.New("boom")
-	_, err := Compose(inner, WithDecorator(func(Scheme) (Scheme, error) { return nil, boom }))
-	if !errors.Is(err, boom) {
+	var order []string
+	fakeRetirement(t, &order, boom)
+	if _, err := Compose(inner, WithRetirement(RetireConfig{})); !errors.Is(err, boom) {
 		t.Fatalf("wrapper failure err = %v, want boom", err)
 	}
 }
@@ -360,16 +258,15 @@ func TestRegistryBuildWithOptions(t *testing.T) {
 	r := NewRegistry()
 	r.MustAdd(Registration{Name: "Fake", New: fakeFactory("Fake")})
 	dev := testDevice(t, 8)
-	wrapped := false
-	s, err := r.Build("fake", dev, 1, WithDecorator(func(s Scheme) (Scheme, error) {
-		wrapped = true
-		return Wrap(&passBody{Scheme: s}, s), nil
-	}))
+	reg := obs.NewRegistry()
+	s, err := r.Build("fake", dev, 1, WithInstrumentation(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wrapped || s.Name() != "Fake" {
-		t.Fatalf("Build did not apply the decorator (wrapped=%v, name=%q)", wrapped, s.Name())
+	s.Write(0, 1)
+	writes := reg.Counter("twl_scheme_requests_total", obs.L("scheme", "Fake"), obs.L("op", "write"))
+	if writes.Value() != 1 || s.Name() != "Fake" {
+		t.Fatalf("Build did not apply the decorator (writes=%d, name=%q)", writes.Value(), s.Name())
 	}
 	if _, err := r.Build("bogus", dev, 1); !errors.Is(err, ErrUnknownScheme) {
 		t.Fatalf("Build unknown scheme err = %v", err)
