@@ -202,26 +202,36 @@ func TestRunLifetimeWithObservability(t *testing.T) {
 	}
 }
 
-// TestInstrumentFacade verifies the per-scheme decorator through the public
-// API.
-func TestInstrumentFacade(t *testing.T) {
+// TestRetireFacade: Retire needs a device with a spare pool, and the
+// decorated scheme reports its capacity through CapacityOf.
+func TestRetireFacade(t *testing.T) {
 	sys := SmallSystem(9)
 	dev, err := sys.NewDevice()
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewMetrics()
-	s, err := NewScheme("NOWL", dev, 1, WithInstrumentation(reg))
+	s, err := NewScheme("NOWL", dev, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		s.Write(i, uint64(i))
+	if _, err := Retire(s, RetireConfig{}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("Retire without spares: err = %v, want ErrBadConfig", err)
 	}
-	s.Read(0)
-	got := reg.Counter("twl_scheme_requests_total",
-		MetricLabel("scheme", "NOWL"), MetricLabel("op", "write")).Value()
-	if got != 5 {
-		t.Fatalf("instrumented write counter = %d, want 5", got)
+	if dev, err = sys.WithSpareFraction(0.03).NewDevice(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = NewScheme("NOWL", dev, 1); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Retire(s, RetireConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, ok := CapacityOf(r)
+	if !ok || cs.SparePages != dev.SparePages() {
+		t.Fatalf("CapacityOf = %+v, %v; want the device's %d spares", cs, ok, dev.SparePages())
+	}
+	if _, ok := CapacityOf(s); ok {
+		t.Fatal("CapacityOf found a retirement layer on the bare scheme")
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"twl"
-	"twl/internal/attack"
 	"twl/internal/cliutil"
 	"twl/internal/obs"
 	"twl/internal/pcm"
@@ -84,25 +83,21 @@ func main() {
 	if *endurance > 0 {
 		sys.MeanEndurance = *endurance
 	}
-	var opts []twl.SchemeOption
 	if *spareFrac > 0 {
 		sys = sys.WithSpareFraction(*spareFrac)
-		opts = append(opts, twl.WithRetirement(twl.RetireConfig{CapacityThreshold: *retireThr}))
 	}
-	dev, err := sys.NewDevice()
-	fatal(err)
-	s, err := twl.NewScheme(*scheme, dev, *seed+7, opts...)
-	fatal(err)
 
+	// The cell is built exactly as the library's (and twlsimd's) attack and
+	// benchmark cells are, so a twlsim run reproduces their numbers.
+	var s twl.Scheme
 	var src sim.Source
 	var ideal float64
 	switch {
 	case *attackMode != "":
 		mode, err := twl.ParseAttackMode(*attackMode)
 		fatal(err)
-		st, err := attack.New(attack.DefaultConfig(mode, sys.Pages, *seed+11))
+		s, src, err = twl.NewAttackCell(sys, *scheme, mode)
 		fatal(err)
-		src = sim.FromAttack(st)
 		ideal = twl.IdealYears(*bandwidth)
 		fmt.Printf("workload: %s attack at %.3g B/s (ideal lifetime %.2f years)\n",
 			mode, *bandwidth, ideal)
@@ -113,13 +108,18 @@ func main() {
 		}
 		b, err := trace.BenchmarkByName(name)
 		fatal(err)
-		g, err := trace.NewSynthetic(b, sys.Pages, *seed+13)
+		s, src, err = twl.NewBenchCell(sys, *scheme, b.Name)
 		fatal(err)
-		src = sim.FromWorkload(g)
 		ideal = twl.IdealYears(b.WriteBandwidthMBps * 1e6)
 		fmt.Printf("workload: PARSEC %s at %.0f MB/s (ideal lifetime %.1f years, footprint %d pages)\n",
-			b.Name, b.WriteBandwidthMBps, ideal, g.Footprint())
+			b.Name, b.WriteBandwidthMBps, ideal, trace.Footprint(b, sys.Pages))
 	}
+	if *spareFrac > 0 {
+		var err error
+		s, err = twl.Retire(s, twl.RetireConfig{CapacityThreshold: *retireThr})
+		fatal(err)
+	}
+	dev := s.Device()
 
 	cfg := sim.LifetimeConfig{}
 	if *paranoid {

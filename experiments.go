@@ -50,42 +50,63 @@ func lifetimeScheme(name string, dev *Device, seed uint64, sys SystemConfig) (Sc
 // cell byte-for-byte, including its metrics and trace payloads when lc
 // carries sinks.
 func RunAttackCell(sys SystemConfig, scheme string, mode AttackMode, lc LifetimeConfig) (LifetimeResult, error) {
-	dev, err := sys.NewDevice()
+	s, src, err := NewAttackCell(sys, scheme, mode)
 	if err != nil {
 		return LifetimeResult{}, err
+	}
+	return sim.RunLifetime(s, src, lc)
+}
+
+// NewAttackCell constructs RunAttackCell's scheme and attack stream over a
+// fresh device from sys, for callers that run the cell themselves (with a
+// retirement decorator on top, say).
+func NewAttackCell(sys SystemConfig, scheme string, mode AttackMode) (Scheme, sim.Source, error) {
+	dev, err := sys.NewDevice()
+	if err != nil {
+		return nil, nil, err
 	}
 	s, err := lifetimeScheme(scheme, dev, sys.Seed+7, sys)
 	if err != nil {
-		return LifetimeResult{}, err
+		return nil, nil, err
 	}
 	st, err := attack.New(attack.DefaultConfig(mode, sys.Pages, sys.Seed+11))
 	if err != nil {
-		return LifetimeResult{}, err
+		return nil, nil, err
 	}
-	return sim.RunLifetime(s, sim.FromAttack(st), lc)
+	return s, sim.FromAttack(st), nil
 }
 
 // RunBenchCell is RunAttackCell's benchmark counterpart: one scheme ×
 // PARSEC-workload lifetime cell, constructed exactly as RunFig8 builds each
 // bar (scheme at Seed+13, synthetic workload at Seed+17).
 func RunBenchCell(sys SystemConfig, scheme, bench string, lc LifetimeConfig) (LifetimeResult, error) {
-	b, err := trace.BenchmarkByName(bench)
+	s, src, err := NewBenchCell(sys, scheme, bench)
 	if err != nil {
 		return LifetimeResult{}, err
+	}
+	return sim.RunLifetime(s, src, lc)
+}
+
+// NewBenchCell constructs RunBenchCell's scheme and workload over a fresh
+// device from sys.
+func NewBenchCell(sys SystemConfig, scheme, bench string) (Scheme, sim.Source, error) {
+	b, err := trace.BenchmarkByName(bench)
+	if err != nil {
+		return nil, nil, err
 	}
 	dev, err := sys.NewDevice()
 	if err != nil {
-		return LifetimeResult{}, err
+		return nil, nil, err
 	}
 	s, err := lifetimeScheme(scheme, dev, sys.Seed+13, sys)
 	if err != nil {
-		return LifetimeResult{}, err
+		return nil, nil, err
 	}
 	g, err := trace.NewSynthetic(b, sys.Pages, sys.Seed+17)
 	if err != nil {
-		return LifetimeResult{}, err
+		return nil, nil, err
 	}
-	return sim.RunLifetime(s, sim.FromWorkload(g), lc)
+	return s, sim.FromWorkload(g), nil
 }
 
 // ------------------------------------------------------------------------
@@ -670,7 +691,7 @@ func RunRetirement(sys SystemConfig, cfg RetirementConfig) (*RetirementResult, e
 	if err != nil {
 		return nil, err
 	}
-	s, err := wl.Compose(inner, wl.WithRetirement(wl.RetireConfig{CapacityThreshold: cfg.CapacityThreshold}))
+	s, err := Retire(inner, RetireConfig{CapacityThreshold: cfg.CapacityThreshold})
 	if err != nil {
 		return nil, err
 	}

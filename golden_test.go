@@ -1,6 +1,7 @@
 package twl
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -74,19 +75,25 @@ func goldenSource(name string, s Scheme, seed uint64) (sim.Source, error) {
 	return NewWorkload(b, pages, seed+17)
 }
 
-// goldenLifetimeCell runs one scheme × source cell at SmallSystem(seed).
-func goldenLifetimeCell(scheme, source string, seed uint64, opts ...SchemeOption) (LifetimeResult, error) {
+// goldenLifetimeCell runs one scheme × source cell at SmallSystem(seed);
+// a retired cell provisions 3% spares and wraps the scheme in Retire.
+func goldenLifetimeCell(scheme, source string, seed uint64, retired bool) (LifetimeResult, error) {
 	sys := SmallSystem(seed)
-	if len(opts) > 0 {
+	if retired {
 		sys = sys.WithSpareFraction(0.03)
 	}
 	dev, err := sys.NewDevice()
 	if err != nil {
 		return LifetimeResult{}, err
 	}
-	s, err := NewScheme(scheme, dev, seed+7, opts...)
+	s, err := NewScheme(scheme, dev, seed+7)
 	if err != nil {
 		return LifetimeResult{}, err
+	}
+	if retired {
+		if s, err = Retire(s, RetireConfig{}); err != nil {
+			return LifetimeResult{}, err
+		}
 	}
 	src, err := goldenSource(source, s, seed)
 	if err != nil {
@@ -110,7 +117,7 @@ func goldenCells() []goldenCell {
 				scheme, source, seed := scheme, source, seed
 				cells = append(cells, goldenCell{
 					name: fmt.Sprintf("lifetime/%s/%s/seed%d", scheme, source, seed),
-					run:  func() (LifetimeResult, error) { return goldenLifetimeCell(scheme, source, seed) },
+					run:  func() (LifetimeResult, error) { return goldenLifetimeCell(scheme, source, seed, false) },
 				})
 			}
 		}
@@ -147,7 +154,7 @@ func goldenCells() []goldenCell {
 		cells = append(cells, goldenCell{
 			name: fmt.Sprintf("retire/%s/%s/seed%d", rc.scheme, rc.source, rc.seed),
 			run: func() (LifetimeResult, error) {
-				return goldenLifetimeCell(rc.scheme, rc.source, rc.seed, WithRetirement(RetireConfig{}))
+				return goldenLifetimeCell(rc.scheme, rc.source, rc.seed, true)
 			},
 		})
 	}
@@ -269,5 +276,45 @@ func TestGolden(t *testing.T) {
 	if len(drift) > 0 {
 		t.Fatalf("%d golden cells drifted (regenerate with -update only for an intended change):\n%s",
 			len(drift), strings.Join(drift, "\n"))
+	}
+}
+
+const fig9MetricsGoldenPath = "testdata/golden/fig9_metrics.txt"
+
+// TestFig9MetricsGolden pins the metrics report of a Figure 9 run byte for
+// byte: the scheme-labeled request, blocked and latency series RunPerf
+// records for every scheme and its NOWL baseline, and the benchmark-labeled
+// request counter. Regenerate only for an intended change:
+//
+//	go test -run '^TestFig9MetricsGolden$' -update .
+func TestFig9MetricsGolden(t *testing.T) {
+	sys := DefaultSystem(1)
+	sys.Pages = 1024
+	cfg := DefaultFig9Config()
+	cfg.Requests = 20000
+	cfg.Metrics = NewMetrics()
+	if _, err := RunFig9(sys, cfg); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := cfg.Metrics.WriteText(&got); err != nil {
+		t.Fatal(err)
+	}
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(fig9MetricsGoldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(fig9MetricsGoldenPath, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(fig9MetricsGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("Figure 9 metrics report drifted from %s (regenerate with -update only for an intended change):\ngot:\n%s",
+			fig9MetricsGoldenPath, got.Bytes())
 	}
 }

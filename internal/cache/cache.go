@@ -9,9 +9,10 @@
 // The store is a flat directory of JSON payloads fanned out over 256
 // two-hex-digit subdirectories (git-object style, so huge campaigns don't
 // degrade into one directory with a million entries). Writes are atomic
-// (temp file + rename into place), so a crash mid-Put leaves either the old
-// entry or no entry — never a torn one — and concurrent Puts of the same
-// key are idempotent last-writer-wins races between identical bytes.
+// (temp file + fsync + rename into place, snap.AtomicWriteFile), so a crash
+// mid-Put leaves either the old entry or no entry — never a torn one — and
+// concurrent Puts of the same key are idempotent last-writer-wins races
+// between identical bytes.
 package cache
 
 import (
@@ -21,6 +22,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
+
+	"twl/internal/snap"
 )
 
 // Key derives the content address for a cell from its canonical key
@@ -99,21 +102,7 @@ func (c *Cache) Put(key string, payload []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(p)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("cache: put %s: %w", key, err)
-	}
-	if _, err := tmp.Write(payload); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("cache: put %s: %w", key, err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("cache: put %s: %w", key, err)
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		_ = os.Remove(tmp.Name())
+	if err := snap.AtomicWriteFile(p, payload); err != nil {
 		return fmt.Errorf("cache: put %s: %w", key, err)
 	}
 	return nil

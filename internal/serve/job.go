@@ -10,6 +10,7 @@ import (
 	"twl"
 	"twl/internal/cache"
 	"twl/internal/obs"
+	"twl/internal/snap"
 )
 
 // JobSpec is the wire format of one experiment grid: the cross product of
@@ -48,6 +49,13 @@ type JobSpec struct {
 // does not bound the grid: a 1 MiB spec can list half a million seeds.
 // Larger campaigns are submitted as several jobs.
 const MaxJobCells = 4096
+
+// MaxJobPages caps a job's simulated device at the paper's full 32 GB
+// geometry (pcm.DefaultGeometry().Pages). Each page costs the cell ~16 B
+// of device state, and a job is persisted before its cells run, so an
+// unbounded page count would let one request OOM-kill the daemon again on
+// every restart.
+const MaxJobPages = 1 << 23
 
 // dedupe drops later duplicates from a grid axis, preserving first-seen
 // order. Axes must be duplicate-free after canonicalization so one job
@@ -113,6 +121,9 @@ func (sp *JobSpec) normalize() error {
 	def := twl.SmallSystem(0)
 	if sp.Pages == 0 {
 		sp.Pages = def.Pages
+	}
+	if sp.Pages > MaxJobPages {
+		return fmt.Errorf("serve: pages (%d) over the limit of %d", sp.Pages, MaxJobPages)
 	}
 	if sp.PageSize == 0 {
 		sp.PageSize = def.PageSize
@@ -353,22 +364,7 @@ func persistJob(dir string, j *job) error {
 	if err != nil {
 		return fmt.Errorf("serve: encode job %s: %w", j.id, err)
 	}
-	path := filepath.Join(dir, j.id+".json")
-	tmp, err := os.CreateTemp(dir, j.id+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("serve: persist job %s: %w", j.id, err)
-	}
-	if _, err := tmp.Write(b); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("serve: persist job %s: %w", j.id, err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("serve: persist job %s: %w", j.id, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		_ = os.Remove(tmp.Name())
+	if err := snap.AtomicWriteFile(filepath.Join(dir, j.id+".json"), b); err != nil {
 		return fmt.Errorf("serve: persist job %s: %w", j.id, err)
 	}
 	return nil

@@ -17,6 +17,7 @@ import (
 
 	"twl"
 	"twl/internal/obs"
+	"twl/internal/pcm"
 )
 
 // testSpec is a grid small enough to finish in well under a second per
@@ -594,6 +595,47 @@ func TestOversizedJobRejected(t *testing.T) {
 	}
 	if len(list.Jobs) != 0 {
 		t.Fatalf("rejected job was registered: %v", list.Jobs)
+	}
+}
+
+// TestOversizedDeviceRejected: a job whose device exceeds MaxJobPages (the
+// paper's full 32 GB geometry) is a 400 and is never persisted, so it cannot
+// crash-loop the daemon from its job directory at boot; a device exactly at
+// the limit validates.
+func TestOversizedDeviceRejected(t *testing.T) {
+	if full := pcm.DefaultGeometry().Pages; MaxJobPages != full {
+		t.Fatalf("MaxJobPages = %d, want the full geometry's %d pages", MaxJobPages, full)
+	}
+	atLimit := testSpec()
+	atLimit.Pages = MaxJobPages
+	if err := atLimit.normalize(); err != nil {
+		t.Fatalf("device of exactly %d pages rejected: %v", MaxJobPages, err)
+	}
+
+	dir := t.TempDir()
+	srv := newTestServer(t, dir, 1)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+	over := testSpec()
+	over.Pages = 1 << 24
+	b, err := json.Marshal(over)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, out := postJob(t, ts, string(b))
+	if code != http.StatusBadRequest {
+		t.Fatalf("oversized device: HTTP %d (%v), want 400", code, out)
+	}
+	if msg, _ := out["error"].(string); !strings.Contains(msg, "pages") {
+		t.Errorf("error %q does not name the page limit", msg)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "jobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("rejected job left %d files under jobs/: %v", len(entries), entries[0].Name())
 	}
 }
 

@@ -41,9 +41,9 @@ type Source interface {
 // per-request one) — unless they also implement FeedbackObserver, which
 // restores per-request feedback delivery — and must treat all n requests as
 // consumed even if the run ends early (device failure or the demand cap).
-// RunLifetime consumes runs through wl.RunWriter when the scheme opts in,
-// and falls back to per-request Write/Read calls — bit-identically — when
-// it doesn't.
+// RunLifetime hands write runs to the scheme's WriteRun; a write it declines
+// to absorb (an event write) is served through Write, and read runs through
+// Read, so the result is bit-identical to per-request serving.
 type RunSource interface {
 	Source
 	NextRun(fb attack.Feedback) (addr int, write bool, n int)
@@ -64,7 +64,7 @@ type FeedbackObserver interface {
 // SweepSource is the consecutive-address counterpart of RunSource: the next
 // n requests are the same operation on addr, addr+1, …, addr+n-1 (no
 // wrapping within a sweep). The same feedback-independence and all-consumed
-// rules apply; schemes opt in via wl.SweepWriter.
+// rules apply; schemes absorb sweeps through WriteSweep.
 type SweepSource interface {
 	Source
 	NextSweep(fb attack.Feedback) (addr int, write bool, n int)
@@ -465,7 +465,8 @@ func RunLifetime(s wl.Scheme, src Source, cfg LifetimeConfig) (LifetimeResult, e
 	}
 
 	// Fast-forward when the source can emit runs/sweeps; the bulk loop
-	// serves per-request (bit-identically) for schemes that don't opt in.
+	// serves per-request (bit-identically) whatever a scheme's bulk writers
+	// decline to absorb.
 	// The per-request loop remains for plain sources and for callers that
 	// pin the baseline path.
 	var err error

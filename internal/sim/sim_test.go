@@ -6,6 +6,7 @@ import (
 
 	"twl/internal/attack"
 	"twl/internal/core"
+	"twl/internal/obs"
 	"twl/internal/pcm"
 	"twl/internal/trace"
 	"twl/internal/wl"
@@ -203,6 +204,85 @@ func TestRunPerfTWLOverheadSmall(t *testing.T) {
 	}
 	if res.Normalized == 1.0 {
 		t.Fatal("TWL shows exactly zero overhead; cost accounting is broken")
+	}
+}
+
+// blockyScheme is NOWL reporting every third write as blocked, to exercise
+// the blocked counter.
+type blockyScheme struct {
+	wl.Scheme
+	n int
+}
+
+func (b *blockyScheme) Name() string { return "Blocky" }
+
+func (b *blockyScheme) Write(la int, tag uint64) wl.Cost {
+	cost := b.Scheme.Write(la, tag)
+	b.n++
+	cost.Blocked = b.n%3 == 0
+	return cost
+}
+
+// TestRunPerfRecordsMetrics: with a registry, RunPerf records every request
+// of the scheme's run and of the baseline's — by op, blocked, and in a
+// latency histogram whose sum is the run's memory cycles — plus the
+// benchmark-labeled request counter.
+func TestRunPerfRecordsMetrics(t *testing.T) {
+	const pages, requests, seed = 64, 3000, 21
+	bench, err := trace.BenchmarkByName("vips")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cfg := PerfConfig{Requests: requests, MaxBandwidthMBps: 3309, Metrics: reg}
+	build := func() (wl.Scheme, error) {
+		return &blockyScheme{Scheme: nowl.New(wltest.NewDevice(t, pages, 11))}, nil
+	}
+	baseline := func() (wl.Scheme, error) {
+		return nowl.New(wltest.NewDevice(t, pages, 11)), nil
+	}
+	res, err := RunPerf(bench, pages, seed, cfg, build, baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := trace.NewSynthetic(bench, pages, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := FromWorkload(g)
+	var writes uint64
+	for i := 0; i < requests; i++ {
+		if _, w := src.Next(attack.Feedback{}); w {
+			writes++
+		}
+	}
+	if writes == 0 || writes == requests {
+		t.Fatalf("stream has %d writes in %d requests; need both ops", writes, requests)
+	}
+	for _, c := range []struct {
+		scheme  string
+		blocked uint64
+		cycles  int64
+	}{
+		{"Blocky", writes / 3, res.MemCycles},
+		{"NOWL", 0, res.BaselineMemCycles},
+	} {
+		label := obs.L("scheme", c.scheme)
+		w := reg.Counter("twl_scheme_requests_total", label, obs.L("op", "write")).Value()
+		r := reg.Counter("twl_scheme_requests_total", label, obs.L("op", "read")).Value()
+		if w != writes || r != requests-writes {
+			t.Errorf("%s: writes=%d reads=%d, want %d/%d", c.scheme, w, r, writes, requests-writes)
+		}
+		if b := reg.Counter("twl_scheme_blocked_total", label).Value(); b != c.blocked {
+			t.Errorf("%s: blocked=%d, want %d", c.scheme, b, c.blocked)
+		}
+		h := reg.Histogram("twl_scheme_request_cycles", obs.DefaultLatencyBuckets(), label).Snapshot()
+		if h.Count != requests || h.Sum != float64(c.cycles) {
+			t.Errorf("%s: latency count=%d sum=%v, want %d/%d", c.scheme, h.Count, h.Sum, requests, c.cycles)
+		}
+		if p := reg.Counter("twl_perf_requests_total", label, obs.L("benchmark", "vips")).Value(); p != requests {
+			t.Errorf("%s: perf requests=%d, want %d", c.scheme, p, requests)
+		}
 	}
 }
 

@@ -486,6 +486,32 @@ func WriteFile(path string, encode func(*Writer) error) (int64, error) {
 	return int64(hdrLen) + int64(cw.n), nil
 }
 
+// AtomicWriteFile installs data at path crash-safely: it writes a temp file
+// in the destination directory, fsyncs and closes it, then renames it over
+// path, so a crash leaves either the previous file or the complete new one
+// — never an empty or torn one. The temp file is removed on every error
+// path; a process killed mid-install can still orphan one (SweepOrphans).
+func AtomicWriteFile(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name())
+	}
+	return err
+}
+
 // SweepOrphans removes orphaned checkpoint temp files (the "<name>.tmp-*"
 // files WriteFile creates and renames away) left in dir by a process killed
 // mid-install, so long-lived resume directories do not accumulate garbage.

@@ -370,6 +370,46 @@ func TestWriteFileStreams(t *testing.T) {
 
 // TestSweepOrphans: orphaned .tmp-* files from a crash mid-install are
 // removed; real checkpoints and unrelated files survive.
+// TestAtomicWriteFile: the helper installs a new file, replaces an existing
+// one, and leaves no temp file behind when the install fails.
+func TestAtomicWriteFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "job.json")
+	for _, want := range []string{"first", "second, longer payload"} {
+		if err := AtomicWriteFile(path, []byte(want)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Fatalf("file holds %q, want %q", got, want)
+		}
+	}
+	// A non-empty directory at the target makes the rename fail after the
+	// temp file was written.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := AtomicWriteFile(blocked, []byte("data")); err == nil {
+		t.Fatal("install over a non-empty directory succeeded")
+	}
+	if err := AtomicWriteFile(filepath.Join(dir, "missing", "f"), []byte("data")); err == nil {
+		t.Fatal("install into a missing directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp-") {
+			t.Fatalf("failed install left %s behind", e.Name())
+		}
+	}
+}
+
 func TestSweepOrphans(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "shard-0001.packed.ckpt")

@@ -131,24 +131,11 @@ func NewSynthetic(bench Benchmark, pages int, seed uint64) (*Synthetic, error) {
 	if r >= 1 {
 		return nil, fmt.Errorf("trace: benchmark %q concentration ratio %v >= 1", bench.Name, r)
 	}
+	if bench.FootprintFraction > 1 {
+		return nil, fmt.Errorf("trace: FootprintFraction %v > 1", bench.FootprintFraction)
+	}
 	g := &Synthetic{bench: bench, pages: pages, src: rng.NewXorshift(seed)}
-	frac := bench.FootprintFraction
-	if frac <= 0 {
-		frac = DefaultFootprintFraction
-	}
-	if frac > 1 {
-		return nil, fmt.Errorf("trace: FootprintFraction %v > 1", frac)
-	}
-	g.footprint = int(frac * float64(pages))
-	// The hottest-page share target 1/(r·N) needs the footprint to hold at
-	// least r·N pages (a uniform spread over fewer pages would already be
-	// more concentrated than the benchmark).
-	if min := int(r*float64(pages)) + 2; g.footprint < min {
-		g.footprint = min
-	}
-	if g.footprint > pages {
-		g.footprint = pages
-	}
+	g.footprint = Footprint(bench, pages)
 	gf := bench.GapFactor
 	if gf <= 0 {
 		gf = DefaultGapFactor
@@ -162,6 +149,26 @@ func NewSynthetic(bench Benchmark, pages int, seed uint64) (*Synthetic, error) {
 
 // Footprint returns the number of distinct pages the generator writes.
 func (g *Synthetic) Footprint() int { return g.footprint }
+
+// Footprint returns the number of distinct pages a generator for bench over
+// pages logical pages writes, without building one.
+func Footprint(bench Benchmark, pages int) int {
+	frac := bench.FootprintFraction
+	if frac <= 0 {
+		frac = DefaultFootprintFraction
+	}
+	fp := int(frac * float64(pages))
+	// The hottest-page share target 1/(r·N) needs the footprint to hold at
+	// least r·N pages (a uniform spread over fewer pages would already be
+	// more concentrated than the benchmark).
+	if min := int(bench.ConcentrationRatio()*float64(pages)) + 2; fp < min {
+		fp = min
+	}
+	if fp > pages {
+		fp = pages
+	}
+	return fp
+}
 
 // Exponent returns the solved Zipf exponent (exposed for tests and logs).
 func (g *Synthetic) Exponent() float64 { return g.s }

@@ -58,14 +58,3 @@ type RetireConfig struct {
 	// Must lie in [0, 1).
 	CapacityThreshold float64
 }
-
-// retireFactory is installed by internal/wl/retire's init. The indirection
-// keeps this package free of a dependency on its own decorator subpackage
-// while letting WithRetirement construct one.
-var retireFactory func(inner Scheme, cfg RetireConfig) (Scheme, error)
-
-// RegisterRetirementFactory installs the retirement decorator constructor.
-// Called from internal/wl/retire's init; last registration wins.
-func RegisterRetirementFactory(f func(inner Scheme, cfg RetireConfig) (Scheme, error)) {
-	retireFactory = f
-}

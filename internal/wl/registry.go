@@ -151,3 +151,24 @@ func Register(reg Registration) { Default.MustAdd(reg) }
 // Names lists the Default registry's canonical scheme names in display
 // order.
 func Names() []string { return Default.Names() }
+
+// Build constructs the named scheme over dev. An unrecognized name wraps
+// ErrUnknownScheme; factory failures are wrapped with the canonical scheme
+// name.
+func (r *Registry) Build(name string, dev *pcm.Device, seed uint64) (Scheme, error) {
+	reg, ok := r.Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("wl: %w: %q (known: %s)",
+			ErrUnknownScheme, name, strings.Join(r.Names(), ", "))
+	}
+	s, err := reg.New(dev, seed)
+	if err != nil {
+		return nil, fmt.Errorf("wl: building %s: %w", reg.Name, err)
+	}
+	return s, nil
+}
+
+// Build constructs a scheme from the Default registry.
+func Build(name string, dev *pcm.Device, seed uint64) (Scheme, error) {
+	return Default.Build(name, dev, seed)
+}

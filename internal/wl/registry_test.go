@@ -124,6 +124,30 @@ func TestRegistryUnknownName(t *testing.T) {
 	}
 }
 
+// TestRegistryBuild: Build returns exactly what the factory built, and wraps
+// a factory failure with the canonical scheme name.
+func TestRegistryBuild(t *testing.T) {
+	r := NewRegistry()
+	r.MustAdd(Registration{Name: "Fake", New: fakeFactory("Fake")})
+	boom := errors.New("boom")
+	r.MustAdd(Registration{Name: "Broken", New: func(*pcm.Device, uint64) (Scheme, error) { return nil, boom }})
+	dev := testDevice(t, 8)
+	s, err := r.Build("fake", dev, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, ok := s.(*fakeScheme); !ok || f.name != "Fake" || f.dev != dev {
+		t.Fatalf("Build returned %T %v, want the factory's bare scheme", s, s)
+	}
+	if _, ok := s.(Unwrapper); ok {
+		t.Fatal("Build decorated the scheme")
+	}
+	_, err = r.Build("broken", dev, 1)
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "Broken") {
+		t.Fatalf("factory failure err = %v, want boom wrapped with the canonical name", err)
+	}
+}
+
 // TestDefaultRegistryPopulated checks that the scheme packages' init
 // registrations arrive in the Default registry in paper order. The wl
 // package cannot import the scheme packages (they import wl), so this test

@@ -28,10 +28,6 @@ import (
 	"twl/internal/wl"
 )
 
-func init() {
-	wl.RegisterRetirementFactory(New)
-}
-
 // New wraps inner with the retirement decorator. The scheme's device must
 // have been built with a spare region (pcm.Geometry.SparePages > 0).
 func New(inner wl.Scheme, cfg wl.RetireConfig) (wl.Scheme, error) {
@@ -60,8 +56,8 @@ func New(inner wl.Scheme, cfg wl.RetireConfig) (wl.Scheme, error) {
 
 // decorator intercepts the write paths, drains the device's failure log
 // after each one, and retires failed pages into the spare pool. It stays
-// unexported: it is not a registerable scheme, only a layer Build/Compose
-// put over one, found in a stack through wl.AsCapacityReporter.
+// unexported: it is not a registerable scheme, only a layer New puts over
+// one, found in a stack through wl.AsCapacityReporter.
 type decorator struct {
 	wl.Scheme              // snap: wrapped scheme; checkpointed by its own Snapshot call below
 	dev        *pcm.Device // snap: construction input (the scheme's device)

@@ -373,19 +373,3 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("scheme state diverged after resume")
 	}
 }
-
-// TestWithRetirementOption: importing this package links the factory, so
-// wl.Compose / wl.Build can attach retirement via the functional option.
-func TestWithRetirementOption(t *testing.T) {
-	dev := spareDevice(t, 4, 1, 10, 10)
-	s, err := wl.Compose(nowl.New(dev), wl.WithRetirement(wl.RetireConfig{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := wl.AsCapacityReporter(s); !ok {
-		t.Fatal("WithRetirement did not attach the capacity reporter")
-	}
-	if _, err := wl.Compose(nowl.New(dev), wl.WithRetirement(wl.RetireConfig{CapacityThreshold: 2})); !errors.Is(err, wl.ErrBadConfig) {
-		t.Fatalf("bad threshold through option: %v", err)
-	}
-}

@@ -1,12 +1,12 @@
 package wl
 
-// This file is the decorator composition layer. A decorator (metrics
-// instrumentation, fault-tolerant page retirement, …) embeds the Scheme it
-// decorates, overrides the methods it interposes on and inherits the rest.
-// Scheme is the whole contract, so an embedding wrapper can never shed a
-// capability; the decorator analyzer (twlint) checks the opposite hazard —
-// a decorator that intercepts Write but lets an inherited bulk, checkpoint
-// or invariant method bypass it.
+// This file is the decorator composition layer. A decorator (the
+// fault-tolerant page retirement of internal/wl/retire, the benchmark's
+// timing layer) embeds the Scheme it decorates, overrides the methods it
+// interposes on and inherits the rest. Scheme is the whole contract, so an
+// embedding wrapper can never shed a capability; the decorator analyzer
+// (twlint) checks the opposite hazard — a decorator that intercepts Write
+// but lets an inherited bulk, checkpoint or invariant method bypass it.
 
 // Unwrapper is the stack-walking link of a decorator: Unwrap descends to
 // the scheme it decorates. Helpers like AsCapacityReporter walk it to find

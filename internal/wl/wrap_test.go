@@ -2,11 +2,9 @@ package wl
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"testing"
 
-	"twl/internal/obs"
 	"twl/internal/pcm"
 )
 
@@ -186,89 +184,3 @@ type reporterLayer reporterBody
 
 func (l *reporterLayer) CapacityStats() CapacityStats { return CapacityStats{SparePages: 42} }
 func (l *reporterLayer) Unwrap() Scheme               { return l.Scheme }
-
-// fakeRetirement installs a retirement factory that wraps with a reporter
-// layer and records each call in order, restoring the linked-in factory
-// (none, inside this package's tests) afterwards.
-func fakeRetirement(t *testing.T, order *[]string, err error) {
-	t.Helper()
-	old := retireFactory
-	t.Cleanup(func() { retireFactory = old })
-	RegisterRetirementFactory(func(inner Scheme, _ RetireConfig) (Scheme, error) {
-		*order = append(*order, "retire")
-		if err != nil {
-			return nil, err
-		}
-		return &reporterLayer{Scheme: inner}, nil
-	})
-}
-
-// TestComposeAppliesInOrder: first option innermost.
-func TestComposeAppliesInOrder(t *testing.T) {
-	dev := testDevice(t, 8)
-	inner := newCapScheme(dev)
-	var order []string
-	fakeRetirement(t, &order, nil)
-	s, err := Compose(inner, WithRetirement(RetireConfig{}), WithInstrumentation(obs.NewRegistry()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 1 {
-		t.Fatalf("retirement factory calls = %v, want one", order)
-	}
-	if _, ok := s.(*instrumented); !ok {
-		t.Fatalf("outermost layer = %T, want the instrumentation", s)
-	}
-	mid := s.(Unwrapper).Unwrap()
-	if _, ok := mid.(*reporterLayer); !ok {
-		t.Fatalf("middle layer = %T, want the retirement", mid)
-	}
-	if mid.(Unwrapper).Unwrap() != Scheme(inner) {
-		t.Fatal("innermost layer is not the scheme")
-	}
-	if s.Name() != "cap" {
-		t.Fatalf("composed scheme name = %q", s.Name())
-	}
-}
-
-// TestComposeErrors: option and wrapper failures surface.
-func TestComposeErrors(t *testing.T) {
-	dev := testDevice(t, 8)
-	inner := newCapScheme(dev)
-	if _, err := Compose(inner, WithInstrumentation(nil)); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("nil registry err = %v, want ErrBadConfig", err)
-	}
-	old := retireFactory
-	retireFactory = nil
-	_, err := Compose(inner, WithRetirement(RetireConfig{}))
-	retireFactory = old
-	if !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("unlinked retirement err = %v, want ErrBadConfig", err)
-	}
-	boom := errors.New("boom")
-	var order []string
-	fakeRetirement(t, &order, boom)
-	if _, err := Compose(inner, WithRetirement(RetireConfig{})); !errors.Is(err, boom) {
-		t.Fatalf("wrapper failure err = %v, want boom", err)
-	}
-}
-
-// TestRegistryBuildWithOptions: Build is New plus decorator composition.
-func TestRegistryBuildWithOptions(t *testing.T) {
-	r := NewRegistry()
-	r.MustAdd(Registration{Name: "Fake", New: fakeFactory("Fake")})
-	dev := testDevice(t, 8)
-	reg := obs.NewRegistry()
-	s, err := r.Build("fake", dev, 1, WithInstrumentation(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Write(0, 1)
-	writes := reg.Counter("twl_scheme_requests_total", obs.L("scheme", "Fake"), obs.L("op", "write"))
-	if writes.Value() != 1 || s.Name() != "Fake" {
-		t.Fatalf("Build did not apply the decorator (writes=%d, name=%q)", writes.Value(), s.Name())
-	}
-	if _, err := r.Build("bogus", dev, 1); !errors.Is(err, ErrUnknownScheme) {
-		t.Fatalf("Build unknown scheme err = %v", err)
-	}
-}

@@ -32,6 +32,7 @@ import (
 	"twl/internal/sim"
 	"twl/internal/trace"
 	"twl/internal/wl"
+	"twl/internal/wl/retire"
 
 	// Scheme packages register themselves with the wl registry in init;
 	// these imports make every scheme constructible by name. (nowl, secref
@@ -41,10 +42,6 @@ import (
 	_ "twl/internal/wl/rbsg"
 	_ "twl/internal/wl/startgap"
 	_ "twl/internal/wl/wrl"
-
-	// The retirement decorator registers its factory in init, enabling
-	// WithRetirement for every facade user.
-	_ "twl/internal/wl/retire"
 )
 
 // Re-exported core types, so API users can name them without reaching into
@@ -75,9 +72,6 @@ type (
 	TWLConfig = core.Config
 	// TWLEngine is the TWL scheme with its full API (PartnerOf, Config, …).
 	TWLEngine = core.Engine
-	// SchemeOption customizes NewScheme's decorator stack (WithRetirement,
-	// WithInstrumentation); options apply first-innermost.
-	SchemeOption = wl.Option
 	// RetireConfig parameterizes the page-retirement decorator.
 	RetireConfig = wl.RetireConfig
 	// CapacityStats reports a retirement decorator's spare-pool usage and
@@ -122,7 +116,7 @@ type SystemConfig struct {
 	SigmaFraction float64
 	// SparePages sizes the spare pool behind the visible array (0 = none).
 	// Spares are invisible to schemes; they only absorb traffic once the
-	// retirement decorator (WithRetirement) remaps a failed page onto one.
+	// retirement decorator (Retire) remaps a failed page onto one.
 	// Typical provisioning is 2–5% of Pages.
 	SparePages int
 	// Seed drives the endurance map and every scheme RNG derived from it.
@@ -272,29 +266,16 @@ func SchemeDocs() []string {
 // unrecognized name returns an error wrapping ErrUnknownScheme; a scheme
 // rejecting its derived configuration returns an error wrapping
 // ErrBadConfig.
-//
-// Options stack decorators over the scheme, first option innermost:
-//
-//	s, err := twl.NewScheme("TWL_swp", dev, seed,
-//		twl.WithRetirement(twl.RetireConfig{}),
-//		twl.WithInstrumentation(reg))
-//
-// The decorated scheme keeps exactly the optional interfaces the bare one
-// implements, so fast-forward and checkpointing work unchanged.
-func NewScheme(name string, dev *Device, seed uint64, opts ...SchemeOption) (Scheme, error) {
-	return wl.Build(name, dev, seed, opts...)
+func NewScheme(name string, dev *Device, seed uint64) (Scheme, error) {
+	return wl.Build(name, dev, seed)
 }
 
-// WithRetirement decorates the scheme with spare-pool page retirement: a
-// page failure is remapped onto a spare (the device must be built with
+// Retire wraps s in the spare-pool page-retirement decorator: a page
+// failure is remapped onto a spare (the device must be built with
 // SystemConfig.SparePages > 0) and the run continues until the pool empties
-// or cfg.CapacityThreshold of the visible pages have been retired.
-func WithRetirement(cfg RetireConfig) SchemeOption { return wl.WithRetirement(cfg) }
-
-// WithInstrumentation decorates the scheme with per-scheme labeled request,
-// blocked and latency series in reg. Instrumented runs still fast-forward
-// and checkpoint.
-func WithInstrumentation(reg *MetricsRegistry) SchemeOption { return wl.WithInstrumentation(reg) }
+// or cfg.CapacityThreshold of the visible pages have been retired. The
+// decorated scheme still fast-forwards and checkpoints.
+func Retire(s Scheme, cfg RetireConfig) (Scheme, error) { return retire.New(s, cfg) }
 
 // CapacityOf reports the retirement decorator's spare-pool state anywhere in
 // s's decorator stack; ok is false when s has no retirement layer.
